@@ -111,6 +111,29 @@ void BM_SsnTransient(benchmark::State& state) {
 }
 BENCHMARK(BM_SsnTransient)->Arg(2)->Arg(8)->Arg(24)->Arg(48)->Unit(benchmark::kMillisecond);
 
+// Driver-bank collapse control: the same transient on the per-driver
+// reference circuit (every driver its own group of one). BM_SsnTransient/N
+// over BM_SsnTransientExpanded/N is the collapse speedup, measured in one
+// run; make_ssn_testbench simulates the whole uniform bank as one M-scaled
+// driver.
+void BM_SsnTransientExpanded(benchmark::State& state) {
+  const auto cal = analysis::calibrate(process::tech_180nm());
+  for (auto _ : state) {
+    circuit::SsnBenchSpec spec;
+    spec.tech = cal.tech;
+    spec.n_drivers = int(state.range(0));
+    spec.input_rise_time = 0.1e-9;
+    auto bench = circuit::make_ssn_testbench(
+        spec, circuit::expanded_driver_groups(spec));
+    benchmark::DoNotOptimize(analysis::measure_ssn(bench).v_max);  // ssnlint-ignore(SSN-L013)
+  }
+}
+BENCHMARK(BM_SsnTransientExpanded)
+    ->Arg(8)
+    ->Arg(24)
+    ->Arg(48)
+    ->Unit(benchmark::kMillisecond);
+
 // Trust-layer overhead: the same transient with the per-step residual
 // check + per-epoch condition estimate disabled. The acceptance bar is
 // BM_SsnTransient/N within 5% of BM_SsnTransientUnverified/N — the checks
@@ -139,7 +162,9 @@ BENCHMARK(BM_SsnTransientUnverified)
 // convert to CSR, run a full sparse LU (fresh symbolic analysis + pivoting)
 // and solve. Sparse is the engine's current path: stamp into the cached
 // CSR pattern and numerically refactorize on the frozen pivot order. The
-// ratio of these two is the per-iteration speedup of the rewrite.
+// ratio of these two is the per-iteration speedup of the rewrite. Both
+// stamp the expanded per-driver circuit: the collapsed bench is a handful
+// of nodes at any N, which would hide the matrix-size dependence.
 
 struct AssemblyFixture {
   circuit::SsnBench bench;
@@ -150,7 +175,8 @@ struct AssemblyFixture {
       : bench([&] {
           circuit::SsnBenchSpec spec;
           spec.n_drivers = n_drivers;
-          return circuit::make_ssn_testbench(spec);
+          return circuit::make_ssn_testbench(
+              spec, circuit::expanded_driver_groups(spec));
         }()) {
     x = sim::dc_operating_point(bench.circuit).solution;
     n = std::size_t(bench.circuit.unknown_count());

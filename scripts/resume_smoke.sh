@@ -24,10 +24,10 @@ fi
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
 
-# ~6 ms per sample: a 600-sample batch runs ~4 s, so a SIGTERM after ~1 s
-# reliably lands mid-batch (and the comment at the top covers the fast-
-# machine case where it doesn't).
-SAMPLES=600
+# ~1.3 ms per sample: a 3000-sample batch runs ~4 s, so a SIGTERM after
+# ~1 s reliably lands mid-batch (and the comment at the top covers the
+# fast-machine case where it doesn't).
+SAMPLES=3000
 COMMON=(mc --sim --samples "$SAMPLES" --seed 4242)
 
 echo "=== clean run ==="

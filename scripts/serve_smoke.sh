@@ -5,7 +5,7 @@
 #   leg 1  stdin mode: repeated request answers from the cache, a restarted
 #          daemon warms the cache from its crash-safe spill file
 #   leg 2  socket mode: start the daemon, fire closed-loop load through
-#          bench_serve --connect plus one deliberately slow request, SIGTERM
+#          bench_serve --connect plus deliberately slow requests, SIGTERM
 #          the daemon mid-load, and assert the clean-drain contract:
 #            - the daemon exits 0
 #            - every line it printed is valid JSON (checked with jq)
@@ -44,8 +44,12 @@ trap cleanup EXIT
 
 echo "=== leg 1: stdin mode, cache + warm restart ==="
 REQ='{"id":"r1","cmd":"estimate","n":8,"tr":1e-10}'
+# One pool thread: this leg checks that a repeated request is answered from
+# the cache, which needs r1's answer cached before r2 is looked up. With
+# more threads r1 and r2 can run concurrently and both miss, so the check
+# would depend on scheduling. Concurrency is covered by leg 2.
 printf '%s\n%s\n' "$REQ" "${REQ/r1/r2}" \
-  | "$SSNKIT" serve --cache-file "$WORK/spill" > "$WORK/leg1a.log"
+  | "$SSNKIT" serve --threads 1 --cache-file "$WORK/spill" > "$WORK/leg1a.log"
 grep -q '"id":"r1","ok":true' "$WORK/leg1a.log"
 grep -q '"id":"r2","ok":true,"cached":true' "$WORK/leg1a.log"
 [ -f "$WORK/spill" ] || { echo "serve_smoke: no cache spill written" >&2; exit 1; }
@@ -74,20 +78,28 @@ done
     --out "$WORK/bench.json" > "$WORK/bench.log" 2>&1 &
 BENCH_PID=$!
 
-# One deliberately slow request so the SIGTERM reliably has in-flight work
-# to drain (and, past the 2 s drain deadline, to cancel with SSN-E066).
+# Deliberately slow requests so the SIGTERM reliably has in-flight work to
+# drain (and, past the 2 s drain deadline, to cancel with SSN-E066): 16
+# pipelined simulated sweeps over a 1 us ramp with a lightly damped
+# package, ~0.3 s each on a 2.0 GHz core (distinct max_n, so none is a
+# cache hit). Their cost is transient time steps, which do not shrink with
+# the driver count: the bench simulates each uniform bank as one driver.
 python3 - "$SOCK" > "$WORK/slow.log" 2>&1 <<'EOF' &
 import socket, sys
 s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
 s.connect(sys.argv[1])
-s.sendall(b'{"id":"slow","cmd":"sweep-n","max_n":32}\n')
+count = 16
+s.sendall(b"".join(
+    b'{"id":"slow%d","cmd":"sweep-n","max_n":%d,"golden":"bsim",'
+    b'"tr":1e-6,"l":1e-7,"c":1e-10}\n' % (i, 64 - i)
+    for i in range(count)))
 buf = b""
-while b"\n" not in buf:
+while buf.count(b"\n") < count:
     chunk = s.recv(65536)
     if not chunk:
         break
     buf += chunk
-sys.stdout.write(buf.split(b"\n")[0].decode())
+sys.stdout.write(buf.decode())
 EOF
 SLOW_PID=$!
 
@@ -115,7 +127,7 @@ while IFS= read -r line; do
     || { echo "serve_smoke: non-JSON daemon output: $line" >&2; exit 1; }
 done < "$WORK/serve.log"
 
-# The slow client must have received a valid JSON response line (ok, shed,
+# The slow client must have received valid JSON response lines (ok, shed,
 # or the drain's SSN-E066 — but never silence or garbage).
 if [ -s "$WORK/slow.log" ]; then
   jq -e . "$WORK/slow.log" > /dev/null \

@@ -41,6 +41,17 @@ SsnMeasurement measure_ssn(const circuit::SsnBenchSpec& spec,
 /// Same, for a bench the caller already customized.
 SsnMeasurement measure_ssn(circuit::SsnBench& bench, const MeasureOptions& opts = {});
 
+/// The transient window measure_ssn simulates: [0, overshoot * t_ramp_end],
+/// with the caller's other transient options.
+sim::TransientOptions measurement_window(const circuit::SsnBench& bench,
+                                         const MeasureOptions& opts);
+
+/// Read the measured quantities off a finished transient of `bench`. The
+/// first driver's input/output are its group's nodes (every member of a
+/// group carries the same waveforms).
+SsnMeasurement extract_measurement(const circuit::SsnBench& bench,
+                                   const sim::TransientResult& result);
+
 /// Run the src/verify physics invariants on a simulated measurement and
 /// fold the findings into its trust report: passivity of the ground path,
 /// V_max/extremum consistency with the fitted Table 1 damping case. Needs

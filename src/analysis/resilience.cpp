@@ -2,7 +2,6 @@
 
 #include "core/l_only_model.hpp"
 #include "core/lc_model.hpp"
-#include "support/contracts.hpp"
 
 #include <algorithm>
 #include <utility>
@@ -38,31 +37,15 @@ ResilientMeasurement measure_ssn_resilient(
     const circuit::SsnBenchSpec& spec, const MeasureOptions& opts,
     const sim::RecoveryPolicy& policy,
     const core::SsnScenario* analytic_fallback) {
-  SSN_REQUIRE(opts.overshoot_factor >= 1.0,
-              "measure_ssn_resilient: overshoot_factor must be >= 1");
-
   circuit::SsnBench bench = circuit::make_ssn_testbench(spec);
-  sim::TransientOptions topts = opts.transient;
-  topts.t_start = 0.0;
-  topts.t_stop = bench.t_ramp_end * opts.overshoot_factor;
-
-  sim::RecoveryOutcome run =
-      sim::run_transient_resilient(bench.circuit, topts, policy);
+  sim::RecoveryOutcome run = sim::run_transient_resilient(
+      bench.circuit, measurement_window(bench, opts), policy);
 
   ResilientMeasurement out;
   out.fidelity = run.fidelity;
   out.attempts = std::move(run.attempts);
   if (run.ok()) {
-    const sim::TransientResult& result = run.result;
-    out.measurement.stats = result.stats;
-    out.measurement.vssi = result.waveform(bench.vssi_node);
-    out.measurement.i_l = result.waveform("I(" + bench.inductor_name + ")");
-    out.measurement.vin = result.waveform(bench.input_nodes.front());
-    out.measurement.vout = result.waveform(bench.output_nodes.front());
-    const auto peak = out.measurement.vssi.maximum_in(0.0, bench.t_ramp_end);
-    out.measurement.v_max = peak.value;
-    out.measurement.t_at_max = peak.t;
-    out.measurement.trust = result.trust;
+    out.measurement = extract_measurement(bench, run.result);
     // Physics invariants need the calibrated scenario; the analytic
     // fallback parameter is exactly that when the caller supplied one.
     if (analytic_fallback != nullptr)

@@ -2,7 +2,10 @@
 
 #include "support/contracts.hpp"
 
+#include <algorithm>
+#include <map>
 #include <stdexcept>
+#include <utility>
 
 namespace ssnkit::circuit {
 
@@ -21,7 +24,44 @@ void SsnBenchSpec::validate() const {
     SSN_REQUIRE(s >= 0.0, "SsnBenchSpec: stagger must be >= 0");
 }
 
+namespace {
+
+// A driver's signature; every driver of a spec shares the pull-down device
+// and load, so switching-or-quiet and the exact input delay decide it.
+std::pair<bool, double> signature(const SsnBenchSpec& spec, int i) {
+  if (i >= spec.n_drivers) return {false, 0.0};
+  return {true, spec.stagger.empty() ? 0.0 : spec.stagger[std::size_t(i)]};
+}
+
+}  // namespace
+
+std::vector<DriverGroup> driver_groups(const SsnBenchSpec& spec) {
+  spec.validate();
+  std::vector<DriverGroup> groups;
+  std::map<std::pair<bool, double>, std::size_t> index;
+  for (int i = 0; i < spec.n_drivers + spec.n_quiet; ++i) {
+    const auto sig = signature(spec, i);
+    const auto [it, fresh] = index.emplace(sig, groups.size());
+    if (fresh) groups.emplace_back();
+    groups[it->second].members.push_back(i);
+  }
+  return groups;
+}
+
+std::vector<DriverGroup> expanded_driver_groups(const SsnBenchSpec& spec) {
+  spec.validate();
+  std::vector<DriverGroup> groups;
+  for (int i = 0; i < spec.n_drivers + spec.n_quiet; ++i)
+    groups.push_back(DriverGroup{{i}});
+  return groups;
+}
+
 SsnBench make_ssn_testbench(const SsnBenchSpec& spec) {
+  return make_ssn_testbench(spec, driver_groups(spec));
+}
+
+SsnBench make_ssn_testbench(const SsnBenchSpec& spec,
+                            const std::vector<DriverGroup>& groups) {
   spec.validate();
   SsnBench bench;
   Circuit& ckt = bench.circuit;
@@ -69,42 +109,65 @@ SsnBench make_ssn_testbench(const SsnBenchSpec& spec) {
             spec.tech.make_golden(spec.golden, spec.driver_width_mult),
             0.8));
   }
+  // A group of m drivers is one instance with the SPICE M-factor m.
+  const auto scaled = [](const std::shared_ptr<const devices::MosfetModel>& model,
+                         std::size_t m)
+      -> std::shared_ptr<const devices::MosfetModel> {
+    if (m == 1) return model;
+    return std::make_shared<devices::ScaledMosfetModel>(model->clone(),
+                                                        double(m));
+  };
 
   bench.slope = vdd / spec.input_rise_time;
   bench.t_ramp_start = 0.0;
   bench.t_ramp_end = 0.0;
 
   const int total = spec.n_drivers + spec.n_quiet;
-  for (int i = 0; i < total; ++i) {
-    const std::string idx = std::to_string(i);
+  bench.input_nodes.resize(std::size_t(total));
+  bench.output_nodes.resize(std::size_t(total));
+  std::size_t covered = 0;
+  for (const DriverGroup& group : groups) {
+    SSN_REQUIRE(!group.members.empty(), "make_ssn_testbench: empty driver group");
+    const std::size_t m = group.members.size();
+    const int first = group.members.front();
+    SSN_REQUIRE(first >= 0 && first < total,
+                "make_ssn_testbench: each driver must be in exactly one group");
+    const auto [switching, delay] = signature(spec, first);
+    const std::string idx = std::to_string(first);
     const NodeId n_in = ckt.node("in" + idx);
     const NodeId n_out = ckt.node("out" + idx);
-    bench.input_nodes.push_back("in" + idx);
-    bench.output_nodes.push_back("out" + idx);
+    for (int i : group.members) {
+      SSN_REQUIRE(i >= 0 && i < total && bench.input_nodes[std::size_t(i)].empty(),
+                  "make_ssn_testbench: each driver must be in exactly one group");
+      SSN_REQUIRE(signature(spec, i) == signature(spec, first),
+                  "make_ssn_testbench: group members must share a signature");
+      bench.input_nodes[std::size_t(i)] = "in" + idx;
+      bench.output_nodes[std::size_t(i)] = "out" + idx;
+    }
+    covered += m;
 
-    const bool switching = i < spec.n_drivers;
     if (switching) {
-      const double delay = spec.stagger.empty() ? 0.0 : spec.stagger[std::size_t(i)];
       ckt.add_vsource("Vin" + idx, n_in, gnd,
                       waveform::Ramp{0.0, vdd, delay, spec.input_rise_time});
-      bench.t_ramp_end =
-          std::max(bench.t_ramp_end, delay + spec.input_rise_time);
+      bench.t_ramp_end = std::max(bench.t_ramp_end, delay + spec.input_rise_time);
     } else {
       ckt.add_vsource("Vin" + idx, n_in, gnd, waveform::Dc{0.0});
     }
 
-    ckt.add_mosfet("Mn" + idx, n_out, n_in, n_vssi, n_bulk, nmos,
+    ckt.add_mosfet("Mn" + idx, n_out, n_in, n_vssi, n_bulk, scaled(nmos, m),
                    MosfetPolarity::kNmos);
     if (spec.include_pullup) {
-      ckt.add_mosfet("Mp" + idx, n_out, n_in, n_vdd, n_vdd, pmos,
+      ckt.add_mosfet("Mp" + idx, n_out, n_in, n_vdd, n_vdd, scaled(pmos, m),
                      MosfetPolarity::kPmos);
     }
-    ckt.add_capacitor("Cl" + idx, n_out, gnd, cl);
+    ckt.add_capacitor("Cl" + idx, n_out, gnd, double(m) * cl);
     // DC anchor: keeps the output node's operating point defined even with
-    // the pull-up omitted. 10 MOhm draws a negligible ~0.2 uA while still
-    // overpowering any residual subthreshold leakage of the models.
-    ckt.add_resistor("Ranchor" + idx, n_out, n_vdd, 1e7);
+    // the pull-up omitted. 10 MOhm per driver draws a negligible ~0.2 uA
+    // while still overpowering any residual subthreshold leakage.
+    ckt.add_resistor("Ranchor" + idx, n_out, n_vdd, 1e7 / double(m));
   }
+  SSN_REQUIRE(covered == std::size_t(total),
+              "make_ssn_testbench: each driver must be in exactly one group");
   return bench;
 }
 

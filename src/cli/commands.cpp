@@ -7,6 +7,7 @@
 #include "analysis/sensitivity.hpp"
 #include "analysis/sweeps.hpp"
 #include "circuit/netlist.hpp"
+#include "circuit/testbench.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
@@ -102,7 +103,9 @@ int finish_batch(std::ostream& os, support::StopReason stop,
 /// exact bit patterns: "the same configuration" means the same IEEE values,
 /// not the same rounded text. Thread count is deliberately absent — results
 /// are bit-identical for any value, so a journal written at --threads 8 is
-/// valid for a resume at --threads 1.
+/// valid for a resume at --threads 1. The testbench revision is part of it:
+/// a journal of simulated points written by an older circuit builder is
+/// refused on --resume rather than mixed with this build's numbers.
 std::uint64_t batch_config_hash(const std::string& kind,
                                 const std::string& tech_name,
                                 const std::string& golden,
@@ -127,6 +130,8 @@ std::uint64_t batch_config_hash(const std::string& kind,
   s += std::to_string(items);
   s += '|';
   s += std::to_string(seed);
+  s += "|bench-r";
+  s += std::to_string(circuit::kTestbenchRevision);
   return support::fnv1a(s);
 }
 

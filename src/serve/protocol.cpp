@@ -1,5 +1,6 @@
 #include "serve/protocol.hpp"
 
+#include "circuit/testbench.hpp"
 #include "process/package.hpp"
 #include "process/technology.hpp"
 #include "support/journal.hpp"
@@ -159,7 +160,12 @@ RequestParse parse_request(const std::string& line) {
 std::string cache_key_string(const ServeRequest& r) {
   // Doubles enter as exact bit patterns (same convention as the journal's
   // batch_config_hash): "the same request" means the same IEEE values.
-  std::string s = "serve-v1|";
+  // The testbench revision is part of the key (as in the batch journal's
+  // config hash): a spill file written by an older circuit builder can
+  // never answer a sim:true request for this one.
+  std::string s = "serve-v1|bench-r";
+  s += std::to_string(circuit::kTestbenchRevision);
+  s += '|';
   s += r.cmd;
   s += '|';
   s += r.tech;

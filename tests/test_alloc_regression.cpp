@@ -49,7 +49,8 @@ using namespace ssnkit;
 std::size_t count_transient_allocs(std::size_t steps) {
   circuit::SsnBenchSpec spec;
   spec.n_drivers = 4;
-  auto bench = circuit::make_ssn_testbench(spec);
+  // The per-driver oracle, so every step stamps four inverters.
+  auto bench = circuit::make_ssn_testbench(spec, circuit::expanded_driver_groups(spec));
 
   sim::TransientOptions opts;
   opts.t_stop = 0.5e-9;

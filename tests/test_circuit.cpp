@@ -185,15 +185,31 @@ TEST(Testbench, BuildsExpectedTopology) {
   SsnBenchSpec spec;
   spec.n_drivers = 4;
   const SsnBench bench = make_ssn_testbench(spec);
+  // Four identical drivers are one group: one M-scaled driver named after
+  // its first member, with every driver's node mapped onto the group's.
   EXPECT_EQ(bench.input_nodes.size(), 4u);
   EXPECT_EQ(bench.output_nodes.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(bench.input_nodes[i], "in0");
+    EXPECT_EQ(bench.output_nodes[i], "out0");
+  }
   EXPECT_TRUE(bench.circuit.has_node("vssi"));
   EXPECT_NE(bench.circuit.find_element("Lgnd"), nullptr);
   EXPECT_NE(bench.circuit.find_element("Cpad"), nullptr);
   EXPECT_NE(bench.circuit.find_element("Mn0"), nullptr);
-  EXPECT_NE(bench.circuit.find_element("Mp3"), nullptr);
+  EXPECT_NE(bench.circuit.find_element("Mp0"), nullptr);
+  EXPECT_EQ(bench.circuit.find_element("Mn1"), nullptr);
+  EXPECT_FALSE(bench.circuit.has_node("out3"));
+  // gnd, vdd, vssi, in0, out0.
+  EXPECT_EQ(bench.circuit.node_count(), 5);
   EXPECT_DOUBLE_EQ(bench.t_ramp_end, spec.input_rise_time);
   EXPECT_NEAR(bench.slope, spec.tech.vdd / spec.input_rise_time, 1e-3);
+
+  // The expanded reference keeps one driver per group: Mp3 exists there.
+  const SsnBench expanded =
+      make_ssn_testbench(spec, expanded_driver_groups(spec));
+  EXPECT_NE(expanded.circuit.find_element("Mp3"), nullptr);
+  EXPECT_EQ(expanded.output_nodes[3], "out3");
 }
 
 TEST(Testbench, OptionsChangeTopology) {
@@ -210,12 +226,25 @@ TEST(Testbench, OptionsChangeTopology) {
 
 TEST(Testbench, QuietDriversAndStagger) {
   SsnBenchSpec spec;
-  spec.n_drivers = 2;
-  spec.n_quiet = 1;
-  spec.stagger = {0.0, 50e-12};
+  spec.n_drivers = 4;
+  spec.n_quiet = 2;
+  spec.stagger = {0.0, 50e-12, 0.0, 50e-12};
   const SsnBench bench = make_ssn_testbench(spec);
-  EXPECT_EQ(bench.input_nodes.size(), 3u);
+  EXPECT_EQ(bench.input_nodes.size(), 6u);
   EXPECT_NEAR(bench.t_ramp_end, 50e-12 + spec.input_rise_time, 1e-18);
+
+  // Quiet drivers and each distinct delay stay in groups of their own.
+  const auto groups = driver_groups(spec);
+  ASSERT_EQ(groups.size(), 3u);
+  EXPECT_EQ(groups[0].members, (std::vector<int>{0, 2}));
+  EXPECT_EQ(groups[1].members, (std::vector<int>{1, 3}));
+  EXPECT_EQ(groups[2].members, (std::vector<int>{4, 5}));
+  EXPECT_EQ(bench.output_nodes,
+            (std::vector<std::string>{"out0", "out1", "out0", "out1", "out4",
+                                      "out4"}));
+  EXPECT_NE(bench.circuit.find_element("Vin1"), nullptr);
+  EXPECT_NE(bench.circuit.find_element("Vin4"), nullptr);
+  EXPECT_EQ(bench.circuit.find_element("Vin2"), nullptr);
 }
 
 TEST(Testbench, SpecValidation) {

@@ -59,13 +59,15 @@ TEST(ConvergenceOrder, Gear2IsSecondOrder) {
 }
 
 TEST(SparsePath, LargeDriverBankDcSatisfiesKcl) {
-  // 24 drivers -> ~75 unknowns. The engine's stamped-sparse solver is the
-  // only path now, so validate it against an independent dense assembly:
-  // the DC solution it returns must satisfy KCL of the dense-stamped MNA
-  // system to Newton tolerance.
+  // 24 drivers -> 50 unknowns (the per-driver oracle; the default builder
+  // would collapse the uniform bank to one M-scaled driver). The engine's
+  // stamped-sparse solver is the only path now, so validate it against an
+  // independent dense assembly: the DC solution it returns must satisfy KCL
+  // of the dense-stamped MNA system to Newton tolerance.
   SsnBenchSpec spec;
   spec.n_drivers = 24;
-  SsnBench bench = make_ssn_testbench(spec);
+  SsnBench bench = make_ssn_testbench(spec, expanded_driver_groups(spec));
+  ASSERT_GE(bench.circuit.unknown_count(), 2 * spec.n_drivers);
   const DcResult dc = dc_operating_point(bench.circuit);
 
   const std::size_t n = std::size_t(bench.circuit.unknown_count());
@@ -88,13 +90,14 @@ TEST(SparsePath, LargeDriverBankDcSatisfiesKcl) {
 }
 
 TEST(SparsePath, LargeDriverBankVmaxIsReproducible) {
-  // Two independent runs of the full measurement exercise pattern caching
-  // and refactorization reuse from scratch; they must agree exactly and
-  // produce a physically sensible bounce.
+  // Two independent runs of the full measurement on the per-driver bank
+  // exercise pattern caching and refactorization reuse from scratch; they
+  // must agree exactly and produce a physically sensible bounce.
   const auto run = [] {
     SsnBenchSpec spec;
     spec.n_drivers = 24;
-    return analysis::measure_ssn(spec, analysis::MeasureOptions{}).v_max;
+    SsnBench bench = make_ssn_testbench(spec, expanded_driver_groups(spec));
+    return analysis::measure_ssn(bench, analysis::MeasureOptions{}).v_max;
   };
   const double v1 = run();
   const double v2 = run();
@@ -158,12 +161,13 @@ TEST(Robustness, StepBudgetConvertsGrindToError) {
 }
 
 TEST(PathologicalFixtures, LargeNonlinearBankRecordsDcTrail) {
-  // 32 strongly-driven nonlinear pull-downs sharing one bouncing rail: the
-  // DC solve must converge and record how it did so.
+  // 32 strongly-driven nonlinear pull-downs (one per driver, the expanded
+  // oracle) sharing one bouncing rail: the DC solve must converge and
+  // record how it did so.
   SsnBenchSpec spec;
   spec.n_drivers = 32;
   spec.bulk_to_vssi = true;
-  SsnBench bench = make_ssn_testbench(spec);
+  SsnBench bench = make_ssn_testbench(spec, expanded_driver_groups(spec));
   const DcResult dc = dc_operating_point(bench.circuit);
   ASSERT_FALSE(dc.homotopy_trail.empty());
   EXPECT_EQ(dc.homotopy_trail.front().name, "plain-newton");

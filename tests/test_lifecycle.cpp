@@ -6,6 +6,7 @@
 #include "analysis/montecarlo.hpp"
 #include "analysis/resilience.hpp"
 #include "analysis/sweeps.hpp"
+#include "circuit/testbench.hpp"
 #include "cli/commands.hpp"
 #include "support/atomic_file.hpp"
 #include "support/crashclean.hpp"
@@ -713,6 +714,53 @@ TEST(Resume, CliRejectsResumeForDifferentJob) {
                     os2, es2);
   EXPECT_EQ(rc, 1);
   std::remove(path.c_str());
+}
+
+TEST(Resume, CliRefusesJournalFromAnOlderBenchBuilder) {
+  // The batch config hash carries the testbench revision, so a journal of
+  // simulated samples written before the M-factor driver collapse (whose
+  // V_max differ in the last bits) is refused instead of mixed in.
+  const std::string path = temp_path("cli_old_builder_journal.txt");
+  const std::string stale = temp_path("cli_old_builder_journal_stale.txt");
+  std::remove(path.c_str());
+  std::ostringstream os, es;
+  ASSERT_EQ(cli::run_cli({"mc", "--sim", "--samples", "2", "--journal", path},
+                         os, es),
+            0);
+  std::ifstream in(path);
+  std::stringstream ss;
+  ss << in.rdbuf();
+  const std::string journal = ss.str();
+
+  // The canonical configuration of this run (CLI defaults), without and
+  // with the builder revision.
+  const process::Package pkg = process::package_pga();
+  const std::string config =
+      "mc-sim|180nm|alpha|" +
+      support::hex_u64(support::double_bits(pkg.inductance)) + "|" +
+      support::hex_u64(support::double_bits(pkg.capacitance)) + "|8|" +
+      support::hex_u64(support::double_bits(0.1e-9)) + "|c|2|12345";
+  const std::string current = support::hex_u64(support::fnv1a(
+      config + "|bench-r" + std::to_string(circuit::kTestbenchRevision)));
+  const std::string pre_collapse = support::hex_u64(support::fnv1a(config));
+  const std::size_t at = journal.find("config " + current + "\n");
+  ASSERT_NE(at, std::string::npos) << journal;
+
+  std::string old_journal = journal;
+  old_journal.replace(at + 7, current.size(), pre_collapse);
+  support::write_file_atomic(stale, old_journal);
+  std::ostringstream os2, es2;
+  EXPECT_EQ(cli::run_cli({"mc", "--sim", "--samples", "2", "--resume", stale},
+                         os2, es2),
+            1);
+  // The same journal with this build's hash resumes.
+  std::ostringstream os3, es3;
+  EXPECT_EQ(cli::run_cli({"mc", "--sim", "--samples", "2", "--resume", path},
+                         os3, es3),
+            0);
+  EXPECT_NE(os3.str().find("resumed 2 samples"), std::string::npos) << os3.str();
+  std::remove(path.c_str());
+  std::remove(stale.c_str());
 }
 
 // --- torn-record tolerance ---------------------------------------------------

@@ -3,6 +3,7 @@
 // robustness contract — bounded admission (SSN-E064), per-request deadlines
 // (SSN-E066), failure isolation (SSN-E065), and the every-accepted-request-
 // gets-exactly-one-response drain guarantee. See docs/SERVING.md.
+#include "circuit/testbench.hpp"
 #include "serve/cache.hpp"
 #include "serve/handlers.hpp"
 #include "serve/json.hpp"
@@ -371,6 +372,14 @@ class ResponseCollector {
   std::vector<std::string> lines_;
 };
 
+// The slow request of the overload, deadline and drain tests: 34 simulated
+// design points over a 1 us ramp with a lightly damped package, ~0.4 s on a
+// 2.0 GHz core (RelWithDebInfo). Its cost is transient time steps, so it
+// neither shrinks with the driver count (the bench simulates each uniform
+// bank as one M-scaled driver) nor with the closed-form Monte Carlo's speed.
+constexpr const char* kSlowSweep =
+    R"("cmd":"sweep-n","max_n":64,"golden":"bsim","tr":1e-6,"l":1e-7,"c":1e-10)";
+
 serve::ServerConfig quick_config() {
   serve::ServerConfig config;
   config.threads = 2;
@@ -436,10 +445,11 @@ TEST(ServeServer, OverloadShedsWithE064AndBoundedQueue) {
   config.cache_capacity = 0;
   serve::Server server(config);
   ResponseCollector rc;
-  // Slow enough to straddle the later submissions, bounded by its own
-  // deadline so the test never waits on the full sweep.
+  // Slow enough to straddle the later submissions (kSlowSweep), bounded by
+  // its own deadline so the test never waits on the full sweep.
   server.submit_line(
-      R"({"id":"slow","cmd":"sweep-n","max_n":32,"deadline":0.5})", rc.sink());
+      R"({"id":"slow",)" + std::string(kSlowSweep) + R"(,"deadline":0.5})",
+      rc.sink());
   // Give the dispatcher time to claim the slow request off the queue.
   const auto t0 = std::chrono::steady_clock::now();
   while (server.stats().accepted < 1 &&
@@ -461,8 +471,9 @@ TEST(ServeServer, OverloadShedsWithE064AndBoundedQueue) {
 TEST(ServeServer, PerRequestDeadlineCancelsOnlyThatRequest) {
   serve::Server server(quick_config());
   ResponseCollector rc;
+  // kSlowSweep (~0.4 s) against a 50 ms deadline.
   server.submit_line(
-      R"({"id":"doomed","cmd":"sweep-n","max_n":32,"deadline":0.05})",
+      R"({"id":"doomed",)" + std::string(kSlowSweep) + R"(,"deadline":0.05})",
       rc.sink());
   server.submit_line(R"({"id":"fine","cmd":"estimate","n":4})", rc.sink());
   const auto lines = rc.await(2);
@@ -486,7 +497,7 @@ TEST(ServeServer, DrainAnswersEveryAcceptedRequest) {
     serve::Server server(config);
     for (int i = 0; i < 6; ++i) {
       std::ostringstream req;
-      req << "{\"id\":\"d" << i << "\",\"cmd\":\"sweep-n\",\"max_n\":32}";
+      req << "{\"id\":\"d" << i << "\"," << kSlowSweep << "}";
       server.submit_line(req.str(), rc.sink());
     }
     server.finish();
@@ -524,6 +535,59 @@ TEST(ServeServer, CacheSpillWarmsARestartedServer) {
   EXPECT_NE(lines[0].find("\"cached\":true"), std::string::npos) << lines[0];
   EXPECT_EQ(warmed.stats().cache_hits, 1u);
   std::remove(path.c_str());
+}
+
+TEST(ServeServer, SpillFromAPreCollapseBuildNeverAnswers) {
+  // The cache key carries the testbench revision, which changed with the
+  // M-factor driver collapse: a spill entry keyed the way the previous
+  // builder's build keyed it must miss, so a sim:true answer is recomputed,
+  // never replayed.
+  const std::string fresh = temp_path("serve_spill_current");
+  const std::string stale = temp_path("serve_spill_stale");
+  std::remove(fresh.c_str());
+  const std::string line =
+      R"({"id":"s","cmd":"estimate","n":8,"tr":1e-10,"sim":true})";
+  const auto parsed = parse_request(line);
+  ASSERT_TRUE(parsed.ok);
+  const std::string key = serve::cache_key_string(parsed.request);
+  const std::string salt =
+      "bench-r" + std::to_string(circuit::kTestbenchRevision) + "|";
+  ASSERT_EQ(key.rfind("serve-v1|" + salt, 0), 0u) << key;
+  // Revision 1 keys carried no bench salt at all.
+  const std::uint64_t old_key =
+      support::fnv1a("serve-v1|" + key.substr(("serve-v1|" + salt).size()));
+
+  serve::ServerConfig config = quick_config();
+  config.cache_file = fresh;
+  {
+    serve::Server server(config);
+    ResponseCollector rc;
+    server.submit_line(line, rc.sink());
+    rc.await(1);
+    server.finish();  // spills the answer under the current key
+  }
+  // Re-key the very same payload the way the previous build did.
+  serve::ResultCache current(4);
+  ASSERT_TRUE(current.load(fresh).empty());
+  const auto payload = current.get(serve::cache_key(parsed.request));
+  ASSERT_TRUE(payload.has_value());
+  serve::ResultCache old(4);
+  old.put(old_key, *payload);
+  old.save(stale);
+
+  config.cache_file = stale;
+  serve::Server server(config);
+  EXPECT_TRUE(server.warm_warnings().empty());
+  ResponseCollector rc;
+  server.submit_line(line, rc.sink());
+  const auto lines = rc.await(1);
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos) << lines[0];
+  EXPECT_EQ(lines[0].find("\"cached\":true"), std::string::npos) << lines[0];
+  EXPECT_EQ(server.stats().cache_hits, 0u);
+  server.finish();
+  std::remove(fresh.c_str());
+  std::remove(stale.c_str());
 }
 
 TEST(ServeServer, CorruptSpillSurfacesW067AndStillStarts) {

@@ -115,7 +115,8 @@ TEST(StampedMatrix, MulIntoMatchesDense) {
 TEST(StampPlan, StampedAssemblyMatchesDenseOnTestbench) {
   circuit::SsnBenchSpec spec;
   spec.n_drivers = 6;
-  auto bench = circuit::make_ssn_testbench(spec);
+  // The per-driver oracle, so the matrix keeps six inverters' stamps.
+  auto bench = circuit::make_ssn_testbench(spec, circuit::expanded_driver_groups(spec));
   const Vector x = sim::dc_operating_point(bench.circuit).solution;
   const std::size_t n = std::size_t(bench.circuit.unknown_count());
 

@@ -68,6 +68,14 @@ int count_lines_with(const std::vector<std::string>& lines,
   return n;
 }
 
+// A request that keeps a worker busy for ~0.4 s (2.0 GHz core,
+// RelWithDebInfo): 34 simulated design points over a 1 us ramp with a
+// lightly damped package. The kill and stop tests act within a few ms of
+// seeing the worker busy; if the sweep ever finishes first they fail on
+// their "responded == 0" precondition, never pass vacuously.
+constexpr const char* kSlowSweep =
+    R"("cmd":"sweep-n","max_n":64,"golden":"bsim","tr":1e-6,"l":1e-7,"c":1e-10)";
+
 serve::ServerConfig process_config(int workers) {
   serve::ServerConfig config;
   config.threads = 2;
@@ -238,7 +246,7 @@ TEST(SupervisorProcess, Kill9MidRequestAnswersExactlyOneE069) {
   serve::Server server(config);
   ResponseCollector rc;
   server.submit_line(
-      R"({"id":"victim","cmd":"sweep-n","max_n":32,"deadline":30})",
+      R"({"id":"victim",)" + std::string(kSlowSweep) + R"(,"deadline":30})",
       rc.sink());
   // Wait until the worker provably holds the request (admission precedes
   // the socketpair write — killing an idle worker would just be retried).
@@ -279,7 +287,7 @@ TEST(SupervisorProcess, DrainStaysBoundedWhenTheWorkerIsStopped) {
   serve::ServerStats stats;
   {
     serve::Server server(config);
-    server.submit_line(R"({"id":"frozen","cmd":"sweep-n","max_n":32})",
+    server.submit_line(R"({"id":"frozen",)" + std::string(kSlowSweep) + "}",
                        rc.sink());
     const auto t0 = std::chrono::steady_clock::now();
     while (server.supervisor()->busy_workers() == 0 &&
