@@ -54,6 +54,20 @@ core::SsnScenario make_scenario(const Calibration& cal,
   return s;
 }
 
+circuit::SsnBenchSpec make_bench_spec(const Calibration& cal,
+                                      const process::Package& package,
+                                      int n_drivers, double input_rise_time,
+                                      bool include_c) {
+  circuit::SsnBenchSpec spec;
+  spec.tech = cal.tech;
+  spec.package = package;
+  spec.golden = cal.golden;
+  spec.n_drivers = n_drivers;
+  spec.input_rise_time = input_rise_time;
+  spec.include_package_c = include_c;
+  return spec;
+}
+
 core::BaselineInputs make_baseline_inputs(const Calibration& cal,
                                           const process::Package& package,
                                           int n_drivers, double input_rise_time) {

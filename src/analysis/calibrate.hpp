@@ -4,6 +4,7 @@
 // This is the step a user runs once per process corner.
 #pragma once
 
+#include "circuit/testbench.hpp"
 #include "core/baselines.hpp"
 #include "core/scenario.hpp"
 #include "devices/fit.hpp"
@@ -36,6 +37,12 @@ Calibration calibrate(const process::Technology& tech,
 core::SsnScenario make_scenario(const Calibration& cal,
                                 const process::Package& package, int n_drivers,
                                 double input_rise_time, bool include_c);
+
+/// The simulator testbench of the same setup (the scenario's oracle).
+circuit::SsnBenchSpec make_bench_spec(const Calibration& cal,
+                                      const process::Package& package,
+                                      int n_drivers, double input_rise_time,
+                                      bool include_c);
 
 /// Baseline inputs matching the same setup.
 core::BaselineInputs make_baseline_inputs(const Calibration& cal,

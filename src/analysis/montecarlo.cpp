@@ -3,7 +3,6 @@
 #include "analysis/design.hpp"
 #include "core/lc_model.hpp"
 #include "numeric/stats.hpp"
-#include "support/faultinject.hpp"
 #include "support/parallel.hpp"
 
 #include <algorithm>
@@ -12,6 +11,22 @@
 #include <stdexcept>
 
 namespace ssnkit::analysis {
+
+namespace {
+
+/// Mean, sigma, range and the 95 % confidence half-width on the mean of a
+/// non-empty sample set.
+template <class Result>
+void moments(const std::vector<double>& v, Result& out) {
+  out.mean = numeric::mean(v);
+  out.stddev = v.size() > 1 ? numeric::stddev(v) : 0.0;
+  out.min = numeric::min_value(v);
+  out.max = numeric::max_value(v);
+  out.ci95 = v.size() > 1 ? 1.96 * out.stddev / std::sqrt(double(v.size()))
+                          : 0.0;
+}
+
+}  // namespace
 
 void MonteCarloOptions::validate() const {
   if (samples < 2)
@@ -59,7 +74,7 @@ MonteCarloResult monte_carlo_vmax(const core::SsnScenario& nominal,
   out.samples.resize(std::size_t(opts.samples));
   std::vector<unsigned char> flipped(std::size_t(opts.samples), 0);
   std::vector<unsigned char> done(std::size_t(opts.samples), 0);
-  const support::BatchStatus status = support::parallel_for_index(
+  support::parallel_for_index(
       opts.threads, std::size_t(opts.samples),
       [&](std::size_t i) {
         const double* f = &factors[i * stride];
@@ -78,52 +93,29 @@ MonteCarloResult monte_carlo_vmax(const core::SsnScenario& nominal,
       },
       opts.run_ctx);
 
-  if (status.stopped) {
-    // Keep only the samples that actually finished (in index order). Which
-    // ones those are depends on worker timing — a partial closed-form
-    // population is best-effort, see the header comment.
-    std::vector<double> kept;
-    kept.reserve(status.completed);
-    int flips = 0;
-    for (std::size_t i = 0; i < done.size(); ++i) {
-      if (!done[i]) continue;
-      kept.push_back(out.samples[i]);
-      flips += flipped[i];
-    }
-    out.samples = std::move(kept);
-    out.completed = out.samples.size();
-    // Only report a stop that actually cost samples: workers can observe a
-    // trip that lands after the final item was already claimed.
-    if (out.completed < done.size() && opts.run_ctx != nullptr)
-      out.stop = opts.run_ctx->stop_reason();
-    if (!out.samples.empty()) {
-      out.mean = numeric::mean(out.samples);
-      out.stddev =
-          out.samples.size() > 1 ? numeric::stddev(out.samples) : 0.0;
-      out.min = numeric::min_value(out.samples);
-      out.max = numeric::max_value(out.samples);
-      out.p95 = numeric::quantile(out.samples, 0.95);
-      out.p99 = numeric::quantile(out.samples, 0.99);
-      out.ci95 = out.samples.size() > 1
-                     ? 1.96 * out.stddev / std::sqrt(double(out.samples.size()))
-                     : 0.0;
-      out.region_flip_fraction = double(flips) / double(out.samples.size());
-    }
-    return out;
-  }
-
+  // Keep the samples that finished, in index order: all of them unless the
+  // run was stopped, in which case which ones finished depends on worker
+  // timing — a partial closed-form population is best-effort, see the
+  // header comment.
+  std::size_t kept = 0;
   int flips = 0;
-  for (unsigned char fl : flipped) flips += fl;
+  for (std::size_t i = 0; i < done.size(); ++i) {
+    if (!done[i]) continue;
+    out.samples[kept++] = out.samples[i];
+    flips += flipped[i];
+  }
+  out.samples.resize(kept);
+  out.completed = kept;
+  // Only report a stop that actually cost samples: workers can observe a
+  // trip that lands after the final item was already claimed.
+  if (out.completed < done.size() && opts.run_ctx != nullptr)
+    out.stop = opts.run_ctx->stop_reason();
+  if (out.samples.empty()) return out;
 
-  out.completed = out.samples.size();
-  out.mean = numeric::mean(out.samples);
-  out.stddev = numeric::stddev(out.samples);
-  out.min = numeric::min_value(out.samples);
-  out.max = numeric::max_value(out.samples);
+  moments(out.samples, out);
   out.p95 = numeric::quantile(out.samples, 0.95);
   out.p99 = numeric::quantile(out.samples, 0.99);
-  out.ci95 = 1.96 * out.stddev / std::sqrt(double(out.samples.size()));
-  out.region_flip_fraction = double(flips) / double(opts.samples);
+  out.region_flip_fraction = double(flips) / double(out.samples.size());
   return out;
 }
 
@@ -135,48 +127,6 @@ void SimMonteCarloOptions::validate() const {
       throw std::invalid_argument(
           "SimMonteCarloOptions: sigmas must be in [0, 0.5] (relative)");
 }
-
-namespace {
-
-/// A completed sample's outcome in journal form. Only the fields the
-/// sequential replay reads are journaled: fidelity, V_max (exact bits), the
-/// error *kind* (BatchSummary keys notes and counters on the kind alone)
-/// and the trust verdict, which is exactly what makes a resumed run
-/// bit-identical — including the merged TrustReport.
-support::PointRecord encode_point(const ResilientMeasurement& rm) {
-  support::PointRecord rec;
-  rec.fidelity = int(rm.fidelity);
-  rec.v_bits = support::double_bits(rm.measurement.v_max);
-  rec.error_kind = rm.error ? int(rm.error->kind()) : -1;
-  rec.trust = int(rm.measurement.trust.verdict);
-  return rec;
-}
-
-/// Rebuild the replay-visible slice of a ResilientMeasurement from its
-/// journal record. False when the record's enums are out of range (a
-/// corrupt or future-version journal that still parsed structurally).
-bool decode_point(const support::PointRecord& rec, ResilientMeasurement& rm) {
-  if (rec.fidelity < 0 || rec.fidelity > int(sim::Fidelity::kFailed))
-    return false;
-  if (rec.error_kind < -1 ||
-      rec.error_kind > int(support::SolverErrorKind::kResidualDegraded))
-    return false;
-  // -1 = pre-trust-layer journal; such a sample replays as kUnverified —
-  // honest, since nothing recorded how (or whether) it was verified.
-  if (rec.trust < -1 || rec.trust > int(verify::Verdict::kDegraded))
-    return false;
-  rm.fidelity = sim::Fidelity(rec.fidelity);
-  rm.measurement.v_max = support::bits_double(rec.v_bits);
-  rm.measurement.trust.verdict = rec.trust >= 0
-                                     ? verify::Verdict(rec.trust)
-                                     : verify::Verdict::kUnverified;
-  if (rec.error_kind >= 0)
-    rm.error.emplace(support::SolverErrorKind(rec.error_kind),
-                     "restored from journal");
-  return true;
-}
-
-}  // namespace
 
 SimMonteCarloResult monte_carlo_vmax_sim(const Calibration& cal,
                                          const process::Package& package,
@@ -207,53 +157,20 @@ SimMonteCarloResult monte_carlo_vmax_sim(const Calibration& cal,
     s.width_factor = vary(opts.sigma_width);
   }
 
-  // Run the transient batch: each sample is independent, writes only its
-  // own slot, and runs inside a FaultSampleScope so any armed fault plan
-  // fires identically regardless of thread assignment or completion order.
-  // Per-sample state for the replay: 0 = not run (stopped before it
-  // finished — never journaled, a resume re-runs it), 1 = ran here,
-  // 2 = restored from the resume set.
-  std::vector<ResilientMeasurement> measured(out.samples.size());
-  std::vector<unsigned char> state(out.samples.size(), 0);
-  support::parallel_for_index(
-      opts.threads, out.samples.size(),
-      [&](std::size_t i) {
-        // Resume first: a journaled sample is restored for free — no
-        // simulation, no item-budget charge — and re-recorded so the new
-        // journal stays complete.
-        if (opts.resume != nullptr) {
-          const auto it = opts.resume->find(i);
-          if (it != opts.resume->end()) {
-            if (!decode_point(it->second, measured[i]))
-              throw std::invalid_argument(
-                  "monte_carlo_vmax_sim: journal record for sample " +
-                  std::to_string(i) + " has out-of-range fields");
-            state[i] = 2;
-            if (opts.journal != nullptr) opts.journal->record(i, it->second);
-            return;
-          }
-        }
-        // The lifecycle gate: claims one item of the budget; false when the
-        // context is stopped or the budget is spent — the sample stays
-        // not-run.
-        if (opts.run_ctx != nullptr && !opts.run_ctx->try_start_item())
-          return;
-
-        const support::FaultSampleScope fault_scope(i);
+  // Run the transient batch (see run_resumable_batch for the resume,
+  // lifecycle and fault-scope contract).
+  const std::vector<BatchSlot> measured = run_resumable_batch(
+      out.samples.size(), opts.threads, opts.run_ctx, opts.journal,
+      opts.resume, [&](std::size_t i) {
         const SimMcSample& s = out.samples[i];
         process::Package pkg = package;
         pkg.inductance *= s.l_factor;
         pkg.capacitance *= s.c_factor;
         const double tr = rise_time * s.rise_factor;
 
-        circuit::SsnBenchSpec spec;
-        spec.tech = cal.tech;
-        spec.package = pkg;
-        spec.golden = cal.golden;
-        spec.n_drivers = n_drivers;
-        spec.input_rise_time = tr;
+        circuit::SsnBenchSpec spec =
+            make_bench_spec(cal, pkg, n_drivers, tr, include_c);
         spec.driver_width_mult = s.width_factor;
-        spec.include_package_c = include_c;
 
         MeasureOptions mopts = opts.measure;
         if (mopts.transient.dt_max <= 0.0) mopts.transient.dt_max = tr / 200.0;
@@ -266,22 +183,10 @@ SimMonteCarloResult monte_carlo_vmax_sim(const Calibration& cal,
             make_scenario(cal, pkg, n_drivers, tr, include_c);
         scenario.device.k *= s.width_factor;
 
-        measured[i] = measure_ssn_resilient(
+        return measure_ssn_resilient(
             spec, mopts, opts.recovery,
             opts.analytic_fallback ? &scenario : nullptr);
-
-        // A stop-kind failure means the transient was interrupted
-        // mid-flight: the sample is NOT a result. It stays not-run (and is
-        // not journaled) so a resumed run re-simulates it from scratch and
-        // lands on the uninterrupted outcome.
-        if (measured[i].error &&
-            support::is_stop_kind(measured[i].error->kind()))
-          return;
-        state[i] = 1;
-        if (opts.journal != nullptr)
-          opts.journal->record(i, encode_point(measured[i]));
-      },
-      opts.run_ctx);
+      });
 
   // Sequential replay in index order: the summary's note ordering and the
   // survivor statistics come out identical for any thread count — and
@@ -290,18 +195,18 @@ SimMonteCarloResult monte_carlo_vmax_sim(const Calibration& cal,
   std::vector<double> survivors;
   survivors.reserve(out.samples.size());
   for (SimMcSample& s : out.samples) {
-    const std::size_t idx = std::size_t(s.index);
-    if (state[idx] == 0) {
+    const BatchSlot& slot = measured[std::size_t(s.index)];
+    if (!slot.attempted) {
       ++out.summary.not_run;
       continue;
     }
-    const ResilientMeasurement& rm = measured[idx];
+    const ResilientMeasurement& rm = slot.result;
     out.summary.record("sample=" + std::to_string(s.index), rm.fidelity,
                        rm.error);
     s.fidelity = rm.fidelity;
     s.verdict = rm.measurement.trust.verdict;
     s.completed = true;
-    s.resumed = state[idx] == 2;
+    s.resumed = slot.resumed;
     ++out.completed;
     if (s.resumed) ++out.resumed;
     if (!rm.ok()) continue;
@@ -324,13 +229,7 @@ SimMonteCarloResult monte_carlo_vmax_sim(const Calibration& cal,
   out.summary.stop = out.stop;
   out.surviving = survivors.size();
   if (!survivors.empty()) {
-    out.mean = numeric::mean(survivors);
-    out.stddev = survivors.size() > 1 ? numeric::stddev(survivors) : 0.0;
-    out.min = numeric::min_value(survivors);
-    out.max = numeric::max_value(survivors);
-    out.ci95 = survivors.size() > 1
-                   ? 1.96 * out.stddev / std::sqrt(double(survivors.size()))
-                   : 0.0;
+    moments(survivors, out);
     out.trust.ci95 = out.ci95;
   }
   return out;

@@ -2,8 +2,11 @@
 
 #include "core/l_only_model.hpp"
 #include "core/lc_model.hpp"
+#include "support/faultinject.hpp"
+#include "support/parallel.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace ssnkit::analysis {
@@ -71,6 +74,74 @@ ResilientMeasurement measure_ssn_resilient(
     out.fidelity = sim::Fidelity::kFailed;
   }
   return out;
+}
+
+support::PointRecord encode_point(const ResilientMeasurement& rm) {
+  support::PointRecord rec;
+  rec.fidelity = int(rm.fidelity);
+  rec.v_bits = support::double_bits(rm.measurement.v_max);
+  rec.error_kind = rm.error ? int(rm.error->kind()) : -1;
+  rec.trust = int(rm.measurement.trust.verdict);
+  return rec;
+}
+
+bool decode_point(const support::PointRecord& rec, ResilientMeasurement& rm) {
+  if (rec.fidelity < 0 || rec.fidelity > int(sim::Fidelity::kFailed))
+    return false;
+  if (rec.error_kind < -1 ||
+      rec.error_kind > int(support::SolverErrorKind::kResidualDegraded))
+    return false;
+  // -1 = pre-trust-layer journal; such an item replays as kUnverified —
+  // honest, since nothing recorded how (or whether) it was verified.
+  if (rec.trust < -1 || rec.trust > int(verify::Verdict::kDegraded))
+    return false;
+  rm.fidelity = sim::Fidelity(rec.fidelity);
+  rm.measurement.v_max = support::bits_double(rec.v_bits);
+  rm.measurement.trust.verdict = rec.trust >= 0
+                                     ? verify::Verdict(rec.trust)
+                                     : verify::Verdict::kUnverified;
+  if (rec.error_kind >= 0)
+    rm.error.emplace(support::SolverErrorKind(rec.error_kind),
+                     "restored from journal");
+  return true;
+}
+
+std::vector<BatchSlot> run_resumable_batch(
+    std::size_t count, int threads, const support::RunContext* ctx,
+    support::BatchJournal* journal,
+    const std::map<std::size_t, support::PointRecord>* resume,
+    const std::function<ResilientMeasurement(std::size_t)>& measure) {
+  std::vector<BatchSlot> slots(count);
+  support::parallel_for_index(
+      threads, count,
+      [&](std::size_t i) {
+        BatchSlot& slot = slots[i];
+        if (resume != nullptr) {
+          const auto it = resume->find(i);
+          if (it != resume->end()) {
+            if (!decode_point(it->second, slot.result))
+              throw std::invalid_argument("journal record for item " +
+                                          std::to_string(i) +
+                                          " has out-of-range fields");
+            slot.attempted = slot.resumed = true;
+            if (journal != nullptr) journal->record(i, it->second);
+            return;
+          }
+        }
+        if (ctx != nullptr && !ctx->try_start_item()) return;
+
+        const support::FaultSampleScope fault_scope(i);
+        ResilientMeasurement rm = measure(i);
+        if (rm.error && support::is_stop_kind(rm.error->kind())) return;
+        if (journal != nullptr) journal->record(i, encode_point(rm));
+        // The replays read numbers and verdicts only.
+        rm.measurement.vssi = rm.measurement.i_l = {};
+        rm.measurement.vin = rm.measurement.vout = {};
+        slot.result = std::move(rm);
+        slot.attempted = true;
+      },
+      ctx);
+  return slots;
 }
 
 void BatchSummary::record(const std::string& label, sim::Fidelity fidelity,

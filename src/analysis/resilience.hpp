@@ -11,8 +11,10 @@
 #include "core/scenario.hpp"
 #include "sim/recovery.hpp"
 #include "support/diagnostics.hpp"
+#include "support/journal.hpp"
 #include "support/runcontext.hpp"
 
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -49,6 +51,43 @@ ResilientMeasurement measure_ssn_resilient(
 /// own). Used by batch drivers that already failed simulation elsewhere.
 SsnMeasurement analytic_measurement(const core::SsnScenario& scenario,
                                     std::size_t points = 512);
+
+/// A finished batch item (sweep point or simulator-backed Monte Carlo
+/// sample) in checkpoint-journal form. Only the fields the batch drivers'
+/// index-order replay reads are journaled: fidelity, V_max (exact bits), the
+/// error *kind* (BatchSummary keys notes and counters on the kind alone) and
+/// the trust verdict — exactly what makes a resumed batch bit-identical to
+/// an uninterrupted one.
+support::PointRecord encode_point(const ResilientMeasurement& rm);
+
+/// Rebuild the replay-visible slice of a ResilientMeasurement from its
+/// journal record. False when the record's enums are out of range (a
+/// corrupt or future-version journal that still parsed structurally).
+bool decode_point(const support::PointRecord& rec, ResilientMeasurement& rm);
+
+/// One item of a resumable batch. A restored item's result carries only
+/// the journaled fields; no slot keeps the transient's waveforms.
+struct BatchSlot {
+  ResilientMeasurement result;
+  bool attempted = false;  ///< ran or restored; false = not-run (stopped)
+  bool resumed = false;    ///< restored from the resume set
+};
+
+/// The per-item plumbing every simulated batch (sweeps, simulator-backed
+/// Monte Carlo) shares. An item in `resume` is restored for free (no
+/// simulation, no item-budget charge) and re-recorded into `journal`; any
+/// other claims one item of `ctx`'s budget, runs `measure(i)` in its
+/// FaultSampleScope and is journaled as it finishes. An item a stop
+/// interrupted stays not-run and unjournaled, so a resume re-runs it and
+/// reproduces the uninterrupted batch bit-for-bit. Slots are
+/// index-addressed: the outcome is bit-identical for any thread count.
+/// Exceptions (from `measure`, or a bad resume record) propagate after the
+/// join.
+std::vector<BatchSlot> run_resumable_batch(
+    std::size_t count, int threads, const support::RunContext* ctx,
+    support::BatchJournal* journal,
+    const std::map<std::size_t, support::PointRecord>* resume,
+    const std::function<ResilientMeasurement(std::size_t)>& measure);
 
 /// Aggregated outcome of a batch of resilient runs (a sweep or a Monte
 /// Carlo population): how many items landed at each fidelity and which

@@ -1,13 +1,11 @@
 #include "analysis/sweeps.hpp"
 
+#include "analysis/design.hpp"
 #include "numeric/stats.hpp"
 #include "support/contracts.hpp"
-#include "support/faultinject.hpp"
-#include "support/parallel.hpp"
 
 #include <cmath>
 #include <cstdio>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -24,124 +22,21 @@ sim::TransientOptions tuned_transient(const sim::TransientOptions& base,
   return t;
 }
 
-/// One sweep point's simulation outcome, in an index-addressed slot.
-struct PointResult {
-  bool ok = false;
-  double v_max = 0.0;
-  sim::Fidelity fidelity = sim::Fidelity::kFullDevice;
-  std::optional<support::SolverError> error;
-  /// The point ran (or was restored from a journal). False means the
-  /// lifecycle layer stopped the sweep before this point — it is not-run,
-  /// not failed, and must not be recorded in the summary.
-  bool attempted = false;
-  bool resumed = false;  ///< restored from the resume set
-};
-
-/// A completed point's journal form / its restoration. The fields mirror
-/// the Monte Carlo driver's encode/decode: fidelity, exact V_max bits, and
-/// the error kind — everything the row-assembly loops read.
-support::PointRecord encode_point(const PointResult& r) {
-  support::PointRecord rec;
-  rec.fidelity = int(r.fidelity);
-  rec.v_bits = support::double_bits(r.v_max);
-  rec.error_kind = r.error ? int(r.error->kind()) : -1;
-  return rec;
-}
-
-bool decode_point(const support::PointRecord& rec, PointResult& r) {
-  if (rec.fidelity < 0 || rec.fidelity > int(sim::Fidelity::kFailed))
-    return false;
-  if (rec.error_kind < -1 ||
-      rec.error_kind > int(support::SolverErrorKind::kDeadlineExpired))
-    return false;
-  r.fidelity = sim::Fidelity(rec.fidelity);
-  r.v_max = support::bits_double(rec.v_bits);
-  r.ok = r.fidelity != sim::Fidelity::kFailed;
-  if (rec.error_kind >= 0)
-    r.error.emplace(support::SolverErrorKind(rec.error_kind),
-                    "restored from journal");
-  return true;
-}
-
-/// Measure every (spec, transient-options) point, in parallel when asked.
-/// Each point runs in its own FaultSampleScope and writes only its slot, so
-/// the outcome vector is bit-identical for any thread count; the callers
-/// replay summary records and assemble rows in sweep order afterwards. In
-/// non-resilient mode a failing point throws — the first exception (by
-/// completion order) propagates after the batch joins.
-///
-/// Lifecycle: `ctx` gates each point through try_start_item and is threaded
-/// into the point's transient; a point whose transient was interrupted
-/// mid-flight stays not-attempted (and is never journaled), so resuming
-/// re-runs it and reproduces the uninterrupted sweep bit-for-bit.
-std::vector<PointResult> measure_points(
-    const std::vector<circuit::SsnBenchSpec>& specs,
-    const std::vector<MeasureOptions>& mopts, bool resilient,
-    const sim::RecoveryPolicy& policy, int threads,
-    const support::RunContext* ctx = nullptr,
-    support::BatchJournal* journal = nullptr,
-    const std::map<std::size_t, support::PointRecord>* resume = nullptr) {
-  std::vector<PointResult> out(specs.size());
-  support::parallel_for_index(
-      threads, specs.size(),
-      [&](std::size_t i) {
-        PointResult& r = out[i];
-        if (resume != nullptr) {
-          const auto it = resume->find(i);
-          if (it != resume->end()) {
-            if (!decode_point(it->second, r))
-              throw std::invalid_argument(
-                  "measure_points: journal record for point " +
-                  std::to_string(i) + " has out-of-range fields");
-            r.attempted = true;
-            r.resumed = true;
-            if (journal != nullptr) journal->record(i, it->second);
-            return;
-          }
-        }
-        if (ctx != nullptr && !ctx->try_start_item()) return;
-
-        const support::FaultSampleScope fault_scope(i);
-        MeasureOptions mo = mopts[i];
-        mo.transient.run_ctx = ctx;
-        if (!resilient) {
-          // Non-resilient mode: any failure surfaces as a thrown SolverError
-          // (propagated by the pool), so there is no status to inspect here.
-          r.v_max = measure_ssn(specs[i], mo).v_max;  // ssnlint-ignore(SSN-L013)
-          r.fidelity = sim::Fidelity::kFullDevice;
-          r.ok = true;
-          r.attempted = true;
-          return;
-        }
-        ResilientMeasurement rm = measure_ssn_resilient(specs[i], mo, policy);
-        // An interrupted transient is not a result: leave the point
-        // not-attempted so a resume re-simulates it.
-        if (rm.error && support::is_stop_kind(rm.error->kind())) return;
-        r.ok = rm.ok();
-        r.v_max = rm.measurement.v_max;
-        r.fidelity = rm.fidelity;
-        r.error = std::move(rm.error);
-        r.attempted = true;
-        if (journal != nullptr) journal->record(i, encode_point(r));
-      },
-      ctx);
-  return out;
-}
-
-circuit::SsnBenchSpec bench_spec_for(const process::Technology& tech,
-                                     const process::Package& package,
-                                     process::GoldenKind golden, int n,
-                                     double rise_time, bool include_c,
-                                     bool include_pullup) {
-  circuit::SsnBenchSpec spec;
-  spec.tech = tech;
-  spec.package = package;
-  spec.golden = golden;
-  spec.n_drivers = n;
-  spec.input_rise_time = rise_time;
-  spec.include_package_c = include_c;
-  spec.include_pullup = include_pullup;
-  return spec;
+/// Measure one sweep point (an item of a run_resumable_batch). In
+/// non-resilient mode a failure throws — the first exception (by completion
+/// order) propagates after the batch joins.
+ResilientMeasurement measure_point(const circuit::SsnBenchSpec& spec,
+                                   const sim::TransientOptions& transient,
+                                   bool resilient,
+                                   const sim::RecoveryPolicy& policy,
+                                   const support::RunContext* ctx) {
+  MeasureOptions mo;
+  mo.transient = transient;
+  mo.transient.run_ctx = ctx;
+  if (resilient) return measure_ssn_resilient(spec, mo, policy);
+  ResilientMeasurement rm;
+  rm.measurement = measure_ssn(spec, mo);
+  return rm;
 }
 
 }  // namespace
@@ -156,30 +51,33 @@ std::vector<double> default_capacitance_sweep() {
 }
 
 DriverSweepResult run_driver_sweep(const DriverSweepConfig& config) {
+  return run_driver_sweep(config, calibrate(config.tech, config.golden));
+}
+
+DriverSweepResult run_driver_sweep(const DriverSweepConfig& config,
+                                   const Calibration& calibration) {
   SSN_REQUIRE(!config.driver_counts.empty(),
               "run_driver_sweep: no driver counts");
 
   DriverSweepResult out;
-  out.calibration = calibrate(config.tech, config.golden);
+  out.calibration = calibration;
 
-  MeasureOptions mopts;
-  mopts.transient = tuned_transient(config.transient, config.input_rise_time);
-
-  std::vector<circuit::SsnBenchSpec> specs;
-  specs.reserve(config.driver_counts.size());
-  for (int n : config.driver_counts)
-    specs.push_back(bench_spec_for(config.tech, config.package, config.golden,
-                                   n, config.input_rise_time,
-                                   config.include_package_c,
-                                   config.include_pullup));
-  const std::vector<PointResult> points = measure_points(
-      specs, std::vector<MeasureOptions>(specs.size(), mopts),
-      config.resilient, config.recovery, config.threads, config.run_ctx,
-      config.journal, config.resume);
+  const sim::TransientOptions transient =
+      tuned_transient(config.transient, config.input_rise_time);
+  const std::vector<BatchSlot> points = run_resumable_batch(
+      config.driver_counts.size(), config.threads, config.run_ctx,
+      config.journal, config.resume, [&](std::size_t i) {
+        circuit::SsnBenchSpec spec = make_bench_spec(
+            out.calibration, config.package, config.driver_counts[i],
+            config.input_rise_time, config.include_package_c);
+        spec.include_pullup = config.include_pullup;
+        return measure_point(spec, transient, config.resilient,
+                             config.recovery, config.run_ctx);
+      });
 
   for (std::size_t i = 0; i < config.driver_counts.size(); ++i) {
     const int n = config.driver_counts[i];
-    const PointResult& pt = points[i];
+    const BatchSlot& pt = points[i];
     DriverSweepRow row;
     row.n = n;
     if (!pt.attempted) {
@@ -188,17 +86,15 @@ DriverSweepResult run_driver_sweep(const DriverSweepConfig& config) {
     }
     if (pt.resumed) ++out.resumed;
     if (config.resilient)
-      out.summary.record("n=" + std::to_string(n), pt.fidelity, pt.error);
-    if (!pt.ok) continue;
-    row.sim = pt.v_max;
-    row.fidelity = pt.fidelity;
+      out.summary.record("n=" + std::to_string(n), pt.result.fidelity,
+                         pt.result.error);
+    if (!pt.result.ok()) continue;
+    row.sim = pt.result.measurement.v_max;
+    row.fidelity = pt.result.fidelity;
 
-    const core::SsnScenario scenario = make_scenario(
-        out.calibration, config.package, n, config.input_rise_time,
-        config.include_package_c);
-    row.this_work = config.include_package_c
-                        ? core::LcModel(scenario).v_max()
-                        : core::LOnlyModel(scenario).v_max();
+    row.this_work = predict_vmax(make_scenario(out.calibration, config.package,
+                                               n, config.input_rise_time,
+                                               config.include_package_c));
 
     const core::BaselineInputs base = make_baseline_inputs(
         out.calibration, config.package, n, config.input_rise_time);
@@ -224,8 +120,8 @@ CapacitanceSweepResult run_capacitance_sweep(const CapacitanceSweepConfig& confi
   std::vector<double> cs = config.capacitances;
   if (cs.empty()) cs = default_capacitance_sweep();
 
-  MeasureOptions mopts;
-  mopts.transient = tuned_transient(config.transient, config.input_rise_time);
+  const sim::TransientOptions transient =
+      tuned_transient(config.transient, config.input_rise_time);
 
   const core::SsnScenario base_scenario =
       make_scenario(out.calibration, config.package, config.n_drivers,
@@ -233,23 +129,22 @@ CapacitanceSweepResult run_capacitance_sweep(const CapacitanceSweepConfig& confi
   out.critical_capacitance = base_scenario.critical_capacitance();
   const double l_only_vmax = core::LOnlyModel(base_scenario).v_max();
 
-  std::vector<circuit::SsnBenchSpec> specs;
-  specs.reserve(cs.size());
-  for (double c : cs) {
-    process::Package pkg = config.package;
-    pkg.capacitance = c;
-    specs.push_back(bench_spec_for(config.tech, pkg, config.golden,
-                                   config.n_drivers, config.input_rise_time,
-                                   /*include_c=*/true, config.include_pullup));
-  }
-  const std::vector<PointResult> points = measure_points(
-      specs, std::vector<MeasureOptions>(specs.size(), mopts),
-      config.resilient, config.recovery, config.threads, config.run_ctx,
-      config.journal, config.resume);
+  const std::vector<BatchSlot> points = run_resumable_batch(
+      cs.size(), config.threads, config.run_ctx, config.journal,
+      config.resume, [&](std::size_t i) {
+        process::Package pkg = config.package;
+        pkg.capacitance = cs[i];
+        circuit::SsnBenchSpec spec =
+            make_bench_spec(out.calibration, pkg, config.n_drivers,
+                            config.input_rise_time, /*include_c=*/true);
+        spec.include_pullup = config.include_pullup;
+        return measure_point(spec, transient, config.resilient,
+                             config.recovery, config.run_ctx);
+      });
 
   for (std::size_t i = 0; i < cs.size(); ++i) {
     const double c = cs[i];
-    const PointResult& pt = points[i];
+    const BatchSlot& pt = points[i];
     CapacitanceSweepRow row;
     row.c = c;
     if (!pt.attempted) {
@@ -260,11 +155,11 @@ CapacitanceSweepResult run_capacitance_sweep(const CapacitanceSweepConfig& confi
     if (config.resilient) {
       char label[32];
       std::snprintf(label, sizeof(label), "c=%.3gF", c);
-      out.summary.record(label, pt.fidelity, pt.error);
+      out.summary.record(label, pt.result.fidelity, pt.result.error);
     }
-    if (!pt.ok) continue;
-    row.sim = pt.v_max;
-    row.fidelity = pt.fidelity;
+    if (!pt.result.ok()) continue;
+    row.sim = pt.result.measurement.v_max;
+    row.fidelity = pt.result.fidelity;
 
     const core::LcModel lc(base_scenario.with_capacitance(c));
     row.lc_model = lc.v_max();
@@ -292,30 +187,19 @@ std::vector<SlopeSweepRow> run_slope_sweep(const Calibration& cal,
   SSN_REQUIRE(!rise_times.empty(), "run_slope_sweep: no rise times");
   std::vector<SlopeSweepRow> rows;
 
-  std::vector<circuit::SsnBenchSpec> specs;
-  std::vector<MeasureOptions> mopts_per_point;
-  specs.reserve(rise_times.size());
-  mopts_per_point.reserve(rise_times.size());
-  for (double tr : rise_times) {
-    circuit::SsnBenchSpec spec;
-    spec.tech = cal.tech;
-    spec.package = package;
-    spec.golden = cal.golden;
-    spec.n_drivers = n_drivers;
-    spec.input_rise_time = tr;
-    spec.include_package_c = include_c;
-    specs.push_back(spec);
-    MeasureOptions mopts;
-    mopts.transient = tuned_transient(topts, tr);
-    mopts_per_point.push_back(mopts);
-  }
-  const std::vector<PointResult> points =
-      measure_points(specs, mopts_per_point, /*resilient=*/summary != nullptr,
-                     {}, threads, run_ctx);
+  const std::vector<BatchSlot> points = run_resumable_batch(
+      rise_times.size(), threads, run_ctx, nullptr, nullptr,
+      [&](std::size_t i) {
+        const double tr = rise_times[i];
+        return measure_point(make_bench_spec(cal, package, n_drivers, tr,
+                                             include_c),
+                             tuned_transient(topts, tr),
+                             /*resilient=*/summary != nullptr, {}, run_ctx);
+      });
 
   for (std::size_t i = 0; i < rise_times.size(); ++i) {
     const double tr = rise_times[i];
-    const PointResult& pt = points[i];
+    const BatchSlot& pt = points[i];
     SlopeSweepRow row;
     row.rise_time = tr;
     row.slope = cal.tech.vdd / tr;
@@ -326,16 +210,14 @@ std::vector<SlopeSweepRow> run_slope_sweep(const Calibration& cal,
     if (summary) {
       char label[32];
       std::snprintf(label, sizeof(label), "tr=%.3gs", tr);
-      summary->record(label, pt.fidelity, pt.error);
+      summary->record(label, pt.result.fidelity, pt.result.error);
     }
-    if (!pt.ok) continue;
-    row.sim = pt.v_max;
-    row.fidelity = pt.fidelity;
+    if (!pt.result.ok()) continue;
+    row.sim = pt.result.measurement.v_max;
+    row.fidelity = pt.result.fidelity;
 
-    const core::SsnScenario scenario =
-        make_scenario(cal, package, n_drivers, tr, include_c);
-    row.model = include_c ? core::LcModel(scenario).v_max()
-                          : core::LOnlyModel(scenario).v_max();
+    row.model =
+        predict_vmax(make_scenario(cal, package, n_drivers, tr, include_c));
     row.err = numeric::relative_error(row.model, row.sim);
     rows.push_back(row);
   }

@@ -76,6 +76,10 @@ struct DriverSweepResult {
 };
 
 DriverSweepResult run_driver_sweep(const DriverSweepConfig& config);
+/// Same, with `calibration` in place of fitting config.tech / config.golden
+/// (which are then ignored).
+DriverSweepResult run_driver_sweep(const DriverSweepConfig& config,
+                                   const Calibration& calibration);
 
 // --- Fig. 4: max SSN vs pad capacitance ------------------------------------
 

@@ -4,6 +4,7 @@
 #include "analysis/design.hpp"
 #include "analysis/measure.hpp"
 #include "analysis/montecarlo.hpp"
+#include "analysis/query.hpp"
 #include "analysis/sensitivity.hpp"
 #include "analysis/sweeps.hpp"
 #include "circuit/netlist.hpp"
@@ -37,23 +38,42 @@ namespace ssnkit::cli {
 namespace {
 
 process::GoldenKind golden_from(const Args& args) {
-  const std::string g = args.get_or("golden", "alpha");
-  if (g == "alpha") return process::GoldenKind::kAlphaPower;
-  if (g == "bsim") return process::GoldenKind::kBsimLite;
-  throw std::invalid_argument("--golden must be 'alpha' or 'bsim'");
+  return analysis::golden_kind(args.get_or("golden", "alpha"));
 }
 
 process::Technology tech_from(const Args& args) {
   return process::technology_by_name(args.get_or("tech", "180nm"));
 }
 
+/// The package flags (--package, --pads, --l, --c) as a query. A negative
+/// --l / --c is an error, not the query's "use the package default".
+analysis::Query package_query(const Args& args) {
+  analysis::Query q;
+  q.package = args.get_or("package", q.package);
+  q.pads = args.get_int("pads", q.pads);
+  for (const char* key : {"l", "c"})
+    if (args.get_double(key, 0.0) < 0.0)
+      throw std::invalid_argument(std::string("--") + key + " must be >= 0");
+  q.inductance = args.get_double("l", q.inductance);
+  q.capacitance = args.get_double("c", q.capacitance);
+  return q;
+}
+
 process::Package package_from(const Args& args) {
-  process::Package pkg = process::package_by_name(args.get_or("package", "pga"));
-  const int pads = args.get_int("pads", 1);
-  if (pads > 1) pkg = pkg.with_ground_pads(pads);
-  if (args.has("l")) pkg.inductance = args.get_double("l", pkg.inductance);
-  if (args.has("c")) pkg.capacitance = args.get_double("c", pkg.capacitance);
-  return pkg;
+  return analysis::package_for(package_query(args));
+}
+
+/// The query of estimate / mc / sweep-n: the package flags plus --tech,
+/// --golden, --tr and --no-c. Each command reads its own extras, so an
+/// option it ignores still draws the unrecognized-option warning.
+analysis::Query query_from(const Args& args, const std::string& cmd) {
+  analysis::Query q = package_query(args);
+  q.cmd = cmd;
+  q.tech = args.get_or("tech", q.tech);
+  q.golden = args.get_or("golden", q.golden);
+  q.rise_time = args.get_double("tr", q.rise_time);
+  q.include_c = !args.flag("no-c");
+  return q;
 }
 
 void warn_unused(const Args& args, std::ostream& os) {
@@ -111,27 +131,16 @@ std::uint64_t batch_config_hash(const std::string& kind,
                                 const std::string& golden,
                                 const process::Package& pkg, int n, double tr,
                                 bool with_c, long long items, unsigned seed) {
+  const auto bits = [](double v) {
+    return support::hex_u64(support::double_bits(v));
+  };
   std::string s = kind;
-  s += '|';
-  s += tech_name;
-  s += '|';
-  s += golden;
-  s += '|';
-  s += support::hex_u64(support::double_bits(pkg.inductance));
-  s += '|';
-  s += support::hex_u64(support::double_bits(pkg.capacitance));
-  s += '|';
-  s += std::to_string(n);
-  s += '|';
-  s += support::hex_u64(support::double_bits(tr));
-  s += '|';
-  s += with_c ? 'c' : '-';
-  s += '|';
-  s += std::to_string(items);
-  s += '|';
-  s += std::to_string(seed);
-  s += "|bench-r";
-  s += std::to_string(circuit::kTestbenchRevision);
+  for (const std::string& field :
+       {tech_name, golden, bits(pkg.inductance), bits(pkg.capacitance),
+        std::to_string(n), bits(tr), std::string(1, with_c ? 'c' : '-'),
+        std::to_string(items), std::to_string(seed),
+        "bench-r" + std::to_string(circuit::kTestbenchRevision)})
+    (s += '|') += field;
   return support::fnv1a(s);
 }
 
@@ -169,24 +178,18 @@ void setup_journal(const Args& args, const std::string& kind,
     out.journal.emplace(out.path, kind, config_hash, total);
 }
 
-/// Render rows into a CSV string at full double precision (17 significant
-/// digits round-trips every double exactly) and publish it atomically.
-/// Shared by every --out artifact so "clean run" and "interrupt + resume"
-/// can be compared byte-for-byte.
-class ArtifactCsv {
- public:
-  explicit ArtifactCsv(const std::string& header) {
-    ss_.precision(17);
-    ss_ << header << '\n';
-  }
-  std::ostringstream& row() { return ss_; }
-  void write(const std::string& path) const {
-    support::write_file_atomic(path, ss_.str());
-  }
-
- private:
-  std::ostringstream ss_;
-};
+/// Publish the CSV `write` renders to `path` (if one was given) atomically,
+/// at full double precision: 17 significant digits round-trip every double
+/// exactly, so "clean run" and "interrupt + resume" artifacts compare
+/// byte-for-byte.
+template <class Write>
+void write_artifact(const std::string& path, Write&& write) {
+  if (path.empty()) return;
+  std::ostringstream ss;
+  ss.precision(17);
+  write(ss);
+  support::write_file_atomic(path, ss.str());
+}
 
 }  // namespace
 
@@ -307,31 +310,29 @@ int cmd_calibrate(const Args& args, std::ostream& os) {
 }
 
 int cmd_estimate(const Args& args, std::ostream& os) {
-  const auto tech = tech_from(args);
-  const auto pkg = package_from(args);
-  const int n = args.get_int("n", 8);
-  const double tr = args.get_double("tr", 0.1e-9);
-  const bool with_c = !args.flag("no-c") && pkg.capacitance > 0.0;
-
-  const auto cal = analysis::calibrate(tech, golden_from(args));
-  const auto scenario = analysis::make_scenario(cal, pkg, n, tr, with_c);
+  analysis::Query q = query_from(args, "estimate");
+  q.n_drivers = args.get_int("n", q.n_drivers);
+  q.sim = args.flag("verify");
+  const analysis::QueryResult r =
+      analysis::run_query(q, analysis::calibrate_named(q.tech, q.golden));
+  const core::SsnScenario& scenario = r.scenario;
 
   io::TextTable t({"quantity", "value"});
-  t.add_row({std::string("drivers (N)"), std::to_string(n)});
-  t.add_row({std::string("L / C"), io::si_format(pkg.inductance) + "H / " +
-                                       (with_c ? io::si_format(pkg.capacitance) +
-                                                     "F"
-                                               : std::string("ignored"))});
+  t.add_row({std::string("drivers (N)"), std::to_string(q.n_drivers)});
+  t.add_row({std::string("L / C"),
+             io::si_format(r.package.inductance) + "H / " +
+                 (r.with_c ? io::si_format(r.package.capacitance) + "F"
+                           : std::string("ignored"))});
   t.add_row({std::string("slope S"), io::si_format(scenario.slope) + "V/s"});
   t.add_row({std::string("beta = N*L*S"), io::si_format(scenario.beta(), 4)});
-  if (with_c) {
+  if (r.with_c) {
     const core::LcModel model(scenario);
     t.add_row({std::string("zeta"), io::si_format(model.zeta(), 4)});
     t.add_row({std::string("C_crit"),
                io::si_format(scenario.critical_capacitance()) + "F"});
     t.add_row({std::string("Table 1 case"), core::to_string(model.max_case())});
     t.add_row({std::string("max SSN (LC model)"),
-               io::si_format(model.v_max(), 5) + "V"});
+               io::si_format(r.v_model, 5) + "V"});
     if (args.flag("extended")) {
       const auto ext = model.v_max_extended();
       t.add_row({std::string("max SSN incl. post-ramp"),
@@ -339,85 +340,66 @@ int cmd_estimate(const Args& args, std::ostream& os) {
                      (ext.after_ramp ? " (peak after t_r)" : "")});
     }
   } else {
-    const core::LOnlyModel model(scenario);
     t.add_row({std::string("max SSN (Eqn 7)"),
-               io::si_format(model.v_max(), 5) + "V"});
+               io::si_format(r.v_model, 5) + "V"});
   }
-  const auto sens = with_c ? analysis::lc_sensitivities(scenario)
-                           : analysis::l_only_sensitivities(scenario);
+  const auto sens = r.with_c ? analysis::lc_sensitivities(scenario)
+                             : analysis::l_only_sensitivities(scenario);
   t.add_row({std::string("elasticity wrt L / S"),
              io::si_format(sens.wrt_inductance, 3) + " / " +
                  io::si_format(sens.wrt_slope, 3)});
   os << t.to_string();
 
-  if (args.flag("verify")) {
-    circuit::SsnBenchSpec spec;
-    spec.tech = tech;
-    spec.package = pkg;
-    spec.golden = cal.golden;
-    spec.n_drivers = n;
-    spec.input_rise_time = tr;
-    spec.include_package_c = with_c;
-    auto m = analysis::measure_ssn(spec);
-    // Physics invariants + the paper's 3 % closed-form-vs-simulator bar,
-    // folded into the measurement's trust report before it is shown.
-    analysis::verify_measurement(m, scenario);
-    const double v_model = with_c ? core::LcModel(scenario).v_max()
-                                  : core::LOnlyModel(scenario).v_max();
-    verify::cross_check_closed_form(v_model, m.v_max, m.trust);
-    os << "simulated max SSN: " << io::si_format(m.v_max, 5) << "V ("
-       << m.stats.accepted_steps << " steps)\n";
-    os << "trust: " << m.trust.summary() << "\n";
-  }
+  if (r.simulated)
+    os << "simulated max SSN: " << io::si_format(r.simulated->v_max, 5)
+       << "V (" << r.simulated->stats.accepted_steps << " steps)\n";
+  os << "trust: " << r.trust.summary() << "\n";
+  if (r.fidelity != sim::Fidelity::kFullDevice)
+    os << "fidelity: " << sim::to_string(r.fidelity) << "\n";
   warn_unused(args, os);
   return 0;
 }
 
 int cmd_sweep_n(const Args& args, std::ostream& os) {
-  analysis::DriverSweepConfig config;
-  config.tech = tech_from(args);
-  config.package = package_from(args);
-  config.golden = golden_from(args);
-  config.input_rise_time = args.get_double("tr", 0.1e-9);
-  config.include_package_c = !args.flag("no-c");
-  const int max_n = args.get_int("max-n", 16);
-  config.driver_counts.clear();
-  for (int n = 1; n <= max_n; n += (n < 4 ? 1 : 2))
-    config.driver_counts.push_back(n);
-  config.threads = args.get_int("threads", 1);
+  analysis::Query q = query_from(args, "sweep-n");
+  q.max_n = args.get_int("max-n", q.max_n);
+  const analysis::Calibration cal = analysis::calibrate_named(q.tech, q.golden);
+  const process::Package pkg = analysis::package_for(q);
+  const std::size_t total = analysis::driver_count_ladder(q.max_n).size();
 
   Lifecycle life(args);
-  config.run_ctx = &life.ctx;
+  analysis::QueryExec exec;
+  exec.threads = args.get_int("threads", 1);
+  exec.run_ctx = &life.ctx;
   const std::uint64_t hash = batch_config_hash(
-      "sweep-n", config.tech.name, args.get_or("golden", "alpha"),
-      config.package, max_n, config.input_rise_time, config.include_package_c,
-      static_cast<long long>(config.driver_counts.size()), 0);
+      "sweep-n", cal.tech.name, q.golden, pkg, q.max_n, q.rise_time,
+      analysis::includes_c(q, pkg), static_cast<long long>(total), 0);
   JournalSetup js;
-  setup_journal(args, "sweep-n", hash, config.driver_counts.size(), js, os);
-  if (js.journal) config.journal = &*js.journal;
-  if (js.resuming) config.resume = &js.resume_items;
+  setup_journal(args, "sweep-n", hash, total, js, os);
+  if (js.journal) exec.journal = &*js.journal;
+  if (js.resuming) exec.resume = &js.resume_items;
 
-  const auto result = analysis::run_driver_sweep(config);
-  os << "n,sim,this_work,vemuru,song,senthinathan\n";
-  for (const auto& r : result.rows)
-    os << r.n << ',' << r.sim << ',' << r.this_work << ',' << r.vemuru << ','
-       << r.song << ',' << r.senthinathan << '\n';
+  const analysis::QueryResult r = analysis::run_query(q, cal, exec);
+  const analysis::DriverSweepResult& result = r.sweep;
+  // stdout gets the table; --out adds the fidelity column.
+  const auto csv = [&](std::ostream& o, bool fidelity) {
+    o << "n,sim,this_work,vemuru,song,senthinathan"
+      << (fidelity ? ",fidelity\n" : "\n");
+    for (const auto& row : result.rows) {
+      o << row.n << ',' << row.sim << ',' << row.this_work << ','
+        << row.vemuru << ',' << row.song << ',' << row.senthinathan;
+      if (fidelity) o << ',' << int(row.fidelity);
+      o << '\n';
+    }
+  };
+  csv(os, false);
   if (!result.summary.all_full_fidelity() || result.summary.not_run > 0)
     os << "# resilience: " << result.summary.to_string() << '\n';
-
-  const std::string out_path = args.get_or("out", "");
-  if (!out_path.empty()) {
-    ArtifactCsv csv("n,sim,this_work,vemuru,song,senthinathan,fidelity");
-    for (const auto& r : result.rows)
-      csv.row() << r.n << ',' << r.sim << ',' << r.this_work << ','
-                << r.vemuru << ',' << r.song << ',' << r.senthinathan << ','
-                << int(r.fidelity) << '\n';
-    csv.write(out_path);
-  }
+  write_artifact(args.get_or("out", ""),
+                 [&](std::ostream& o) { csv(o, true); });
   warn_unused(args, os);
-  return finish_batch(os, result.summary.stop,
-                      config.driver_counts.size() - result.summary.not_run,
-                      config.driver_counts.size(), "points", js.path);
+  return finish_batch(os, r.stop, total - result.summary.not_run, total,
+                      "points", js.path);
 }
 
 int cmd_sweep_c(const Args& args, std::ostream& os) {
@@ -442,22 +424,21 @@ int cmd_sweep_c(const Args& args, std::ostream& os) {
   if (js.resuming) config.resume = &js.resume_items;
 
   const auto result = analysis::run_capacitance_sweep(config);
-  os << "c,zeta,sim,lc_model,l_only,err_lc,err_l_only\n";
-  for (const auto& r : result.rows)
-    os << r.c << ',' << r.zeta << ',' << r.sim << ',' << r.lc_model << ','
-       << r.l_only << ',' << r.err_lc << ',' << r.err_l_only << '\n';
+  const auto csv = [&](std::ostream& o, bool fidelity) {
+    o << "c,zeta,sim,lc_model,l_only,err_lc,err_l_only"
+      << (fidelity ? ",fidelity\n" : "\n");
+    for (const auto& r : result.rows) {
+      o << r.c << ',' << r.zeta << ',' << r.sim << ',' << r.lc_model << ','
+        << r.l_only << ',' << r.err_lc << ',' << r.err_l_only;
+      if (fidelity) o << ',' << int(r.fidelity);
+      o << '\n';
+    }
+  };
+  csv(os, false);
   if (!result.summary.all_full_fidelity() || result.summary.not_run > 0)
     os << "# resilience: " << result.summary.to_string() << '\n';
-
-  const std::string out_path = args.get_or("out", "");
-  if (!out_path.empty()) {
-    ArtifactCsv csv("c,zeta,sim,lc_model,l_only,err_lc,err_l_only,fidelity");
-    for (const auto& r : result.rows)
-      csv.row() << r.c << ',' << r.zeta << ',' << r.sim << ',' << r.lc_model
-                << ',' << r.l_only << ',' << r.err_lc << ',' << r.err_l_only
-                << ',' << int(r.fidelity) << '\n';
-    csv.write(out_path);
-  }
+  write_artifact(args.get_or("out", ""),
+                 [&](std::ostream& o) { csv(o, true); });
   warn_unused(args, os);
   return finish_batch(os, result.summary.stop,
                       config.capacitances.size() - result.summary.not_run,
@@ -501,16 +482,14 @@ int cmd_design(const Args& args, std::ostream& os) {
 }
 
 int cmd_mc(const Args& args, std::ostream& os) {
-  const auto tech = tech_from(args);
-  const auto pkg = package_from(args);
-  const auto cal = analysis::calibrate(tech, golden_from(args));
-  const int n = args.get_int("n", 8);
-  const double tr = args.get_double("tr", 0.1e-9);
-  const bool with_c = !args.flag("no-c");
+  analysis::Query q = query_from(args, "mc");
+  q.n_drivers = args.get_int("n", q.n_drivers);
+  const analysis::Calibration cal = analysis::calibrate_named(q.tech, q.golden);
 
   if (args.flag("sim")) {
     // Simulator-backed Monte Carlo: each sample is a full MNA transient run
     // under the recovery ladder; failures degrade instead of aborting.
+    const process::Package pkg = analysis::package_for(q);
     analysis::SimMonteCarloOptions opts;
     opts.samples = args.get_int("samples", 16);
     opts.seed = unsigned(args.get_int("seed", 12345));
@@ -519,14 +498,15 @@ int cmd_mc(const Args& args, std::ostream& os) {
     Lifecycle life(args);
     opts.run_ctx = &life.ctx;
     const std::uint64_t hash = batch_config_hash(
-        "mc-sim", tech.name, args.get_or("golden", "alpha"), pkg, n, tr,
-        with_c, opts.samples, opts.seed);
+        "mc-sim", cal.tech.name, q.golden, pkg, q.n_drivers, q.rise_time,
+        q.include_c, opts.samples, opts.seed);
     JournalSetup js;
     setup_journal(args, "mc-sim", hash, std::size_t(opts.samples), js, os);
     if (js.journal) opts.journal = &*js.journal;
     if (js.resuming) opts.resume = &js.resume_items;
 
-    const auto mc = analysis::monte_carlo_vmax_sim(cal, pkg, n, tr, with_c, opts);
+    const auto mc = analysis::monte_carlo_vmax_sim(
+        cal, pkg, q.n_drivers, q.rise_time, q.include_c, opts);
     io::TextTable t({"statistic", "V_max [V]"});
     t.add_row({std::string("samples (surviving/total)"),
                std::to_string(mc.surviving) + "/" +
@@ -546,37 +526,31 @@ int cmd_mc(const Args& args, std::ostream& os) {
 
     // The CSV artifact holds only per-sample *outcomes*: identical between
     // a clean run and an interrupt + resume (only completed rows appear).
-    const std::string out_path = args.get_or("out", "");
-    if (!out_path.empty()) {
-      ArtifactCsv csv(
-          "index,l_factor,c_factor,rise_factor,width_factor,fidelity,v_max");
-      for (const auto& s : mc.samples) {
-        if (!s.completed) continue;
-        csv.row() << s.index << ',' << s.l_factor << ',' << s.c_factor << ','
-                  << s.rise_factor << ',' << s.width_factor << ','
-                  << int(s.fidelity) << ',' << s.v_max << '\n';
-      }
-      csv.write(out_path);
-    }
+    write_artifact(args.get_or("out", ""), [&](std::ostream& o) {
+      o << "index,l_factor,c_factor,rise_factor,width_factor,fidelity,v_max\n";
+      for (const auto& s : mc.samples)
+        if (s.completed)
+          o << s.index << ',' << s.l_factor << ',' << s.c_factor << ','
+            << s.rise_factor << ',' << s.width_factor << ','
+            << int(s.fidelity) << ',' << s.v_max << '\n';
+    });
     warn_unused(args, os);
     return finish_batch(os, mc.stop, mc.completed, mc.samples.size(),
                         "samples", js.path);
   }
 
-  const auto scenario = analysis::make_scenario(cal, pkg, n, tr, with_c);
-
-  analysis::MonteCarloOptions opts;
-  opts.samples = args.get_int("samples", 1000);
-  opts.seed = unsigned(args.get_int("seed", 12345));
-  opts.threads = args.get_int("threads", 1);
-
+  q.samples = args.get_int("samples", q.samples);
+  q.seed = args.get_int("seed", q.seed);
   Lifecycle life(args);
-  opts.run_ctx = &life.ctx;
-  const auto mc = analysis::monte_carlo_vmax(scenario, opts);
+  analysis::QueryExec exec;
+  exec.threads = args.get_int("threads", 1);
+  exec.run_ctx = &life.ctx;
+  const analysis::QueryResult r = analysis::run_query(q, cal, exec);
+  const analysis::MonteCarloResult& mc = r.mc;
 
   io::TextTable t({"statistic", "V_max [V]"});
   t.add_row({std::string("samples"), std::to_string(mc.completed) + "/" +
-                                         std::to_string(opts.samples)});
+                                         std::to_string(q.samples)});
   t.add_row({std::string("mean"), io::si_format(mc.mean, 4)});
   t.add_row({std::string("sigma"), io::si_format(mc.stddev, 4)});
   t.add_row({std::string("min / max"),
@@ -588,7 +562,7 @@ int cmd_mc(const Args& args, std::ostream& os) {
              io::si_format(100.0 * mc.region_flip_fraction, 3) + "%"});
   os << t.to_string();
   warn_unused(args, os);
-  return finish_batch(os, mc.stop, mc.completed, std::size_t(opts.samples),
+  return finish_batch(os, r.stop, mc.completed, std::size_t(q.samples),
                       "samples", "");
 }
 
@@ -681,6 +655,20 @@ int cmd_simulate(const Args& args, std::ostream& os) {
     throw *run.error;
   const auto& result = run.result;
 
+  // Every signal as CSV: on stdout without --probe, and to --out.
+  const auto csv = [&](std::ostream& o) {
+    o << "time";
+    for (const auto& name : result.signal_names()) o << ',' << name;
+    o << '\n';
+    std::vector<waveform::Waveform> waves;
+    for (const auto& name : result.signal_names())
+      waves.push_back(result.waveform(name));
+    for (std::size_t i = 0; i < result.point_count(); ++i) {
+      o << result.times()[i];
+      for (const auto& w : waves) o << ',' << w.value(i);
+      o << '\n';
+    }
+  };
   const std::string probe = args.get_or("probe", "");
   if (!probe.empty() && result.point_count() == 0) {
     // A run stopped before the first accepted step has nothing to chart.
@@ -696,35 +684,9 @@ int cmd_simulate(const Args& args, std::ostream& os) {
     os << probe << ": min " << wave.minimum().value << ", max "
        << wave.maximum().value << "\n";
   } else {
-    // CSV of everything.
-    os << "time";
-    for (const auto& name : result.signal_names()) os << ',' << name;
-    os << '\n';
-    std::vector<waveform::Waveform> waves;
-    for (const auto& name : result.signal_names())
-      waves.push_back(result.waveform(name));
-    for (std::size_t i = 0; i < result.point_count(); ++i) {
-      os << result.times()[i];
-      for (const auto& w : waves) os << ',' << w.value(i);
-      os << '\n';
-    }
+    csv(os);
   }
-
-  const std::string out_path = args.get_or("out", "");
-  if (!out_path.empty()) {
-    std::string header = "time";
-    for (const auto& name : result.signal_names()) header += ',' + name;
-    ArtifactCsv csv(header);
-    std::vector<waveform::Waveform> waves;
-    for (const auto& name : result.signal_names())
-      waves.push_back(result.waveform(name));
-    for (std::size_t i = 0; i < result.point_count(); ++i) {
-      csv.row() << result.times()[i];
-      for (const auto& w : waves) csv.row() << ',' << w.value(i);
-      csv.row() << '\n';
-    }
-    csv.write(out_path);
-  }
+  write_artifact(args.get_or("out", ""), csv);
   warn_unused(args, os);
   if (run.error) {
     os << "interrupted (" << support::to_string(run.error->kind() ==

@@ -1,13 +1,10 @@
-// Request execution for the serve daemon: maps a validated ServeRequest
-// onto the analysis layer (closed-form estimate, optional simulator verify,
-// closed-form Monte Carlo, driver sweep) and renders the result fragment.
-//
-// Handlers are pure with respect to the daemon: they throw
-// support::SolverError on solver failure (including the cooperative stop
-// kinds when the request's RunContext fires) and std::exception for
-// anything else; the server maps those onto SSN-E065/E066 responses for
-// that one client. Nothing here touches sockets, queues, or global state —
-// which is what makes the handlers directly unit-testable.
+// Request execution for the serve daemon: answers a validated ServeRequest
+// with analysis::run_query (the CLI's query path too) and renders the JSON
+// result fragment. It throws support::SolverError on solver failure
+// (including the cooperative stop kinds when the request's RunContext
+// fires) and std::exception for anything else; the server maps those onto
+// SSN-E065/E066 for that one client. Nothing here touches sockets, queues or
+// global state, which keeps it directly unit-testable.
 #pragma once
 
 #include "analysis/calibrate.hpp"

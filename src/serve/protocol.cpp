@@ -1,6 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include "circuit/testbench.hpp"
 #include "process/package.hpp"
 #include "process/technology.hpp"
 #include "support/journal.hpp"
@@ -137,12 +136,11 @@ RequestParse parse_request(const std::string& line) {
                  : "unknown command '" + req.cmd +
                        "' (expected estimate, mc, or sweep-n)");
   }
-  if (!v.failed() && req.golden != "alpha" && req.golden != "bsim")
-    v.fail("field 'golden' must be 'alpha' or 'bsim'");
   if (!v.failed()) {
     // Resolve the names now so a typo is an admission-time SSN-E063, not a
     // worker-side SSN-E065 dressed up as a solver failure.
     try {
+      (void)analysis::golden_kind(req.golden);
       (void)process::technology_by_name(req.tech);
       (void)process::package_by_name(req.package);
     } catch (const std::invalid_argument& e) {
@@ -157,42 +155,8 @@ RequestParse parse_request(const std::string& line) {
   return out;
 }
 
-std::string cache_key_string(const ServeRequest& r) {
-  // Doubles enter as exact bit patterns (same convention as the journal's
-  // batch_config_hash): "the same request" means the same IEEE values.
-  // The testbench revision is part of the key (as in the batch journal's
-  // config hash): a spill file written by an older circuit builder can
-  // never answer a sim:true request for this one.
-  std::string s = "serve-v1|bench-r";
-  s += std::to_string(circuit::kTestbenchRevision);
-  s += '|';
-  s += r.cmd;
-  s += '|';
-  s += r.tech;
-  s += '|';
-  s += r.golden;
-  s += '|';
-  s += r.package;
-  s += '|';
-  s += std::to_string(r.pads);
-  s += '|';
-  s += support::hex_u64(support::double_bits(r.inductance));
-  s += '|';
-  s += support::hex_u64(support::double_bits(r.capacitance));
-  s += '|';
-  s += std::to_string(r.n_drivers);
-  s += '|';
-  s += support::hex_u64(support::double_bits(r.rise_time));
-  s += '|';
-  s += r.include_c ? 'c' : '-';
-  s += r.sim ? 's' : '-';
-  s += '|';
-  s += std::to_string(r.samples);
-  s += '|';
-  s += std::to_string(r.seed);
-  s += '|';
-  s += std::to_string(r.max_n);
-  return s;
+std::string cache_key_string(const ServeRequest& request) {
+  return analysis::canonical_string(request);
 }
 
 std::uint64_t cache_key(const ServeRequest& request) {

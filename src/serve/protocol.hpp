@@ -34,6 +34,7 @@
 // tiny serve loop and every protocol invariant above holds on both hops.
 #pragma once
 
+#include "analysis/query.hpp"
 #include "serve/json.hpp"
 #include "support/diagnostics.hpp"
 #include "verify/trust.hpp"
@@ -43,25 +44,11 @@
 
 namespace ssnkit::serve {
 
-// ssn-units: inductance=H, capacitance=F, rise_time=s, deadline_s=s
-/// One validated analysis request. Field semantics match the CLI flags of
-/// the corresponding commands (estimate / mc / sweep-n).
-struct ServeRequest {
+// ssn-units: deadline_s=s
+/// One validated analysis request: the query (analysis::Query — every
+/// field that affects the result) plus the two that do not.
+struct ServeRequest : analysis::Query {
   std::string id;            ///< echoed on the response; assigned if empty
-  std::string cmd;           ///< "estimate" | "mc" | "sweep-n"
-  std::string tech = "180nm";
-  std::string golden = "alpha";
-  std::string package = "pga";
-  int pads = 1;              ///< parallel ground pads (divides L)
-  double inductance = -1.0;  ///< [H] override; < 0 = package default
-  double capacitance = -1.0; ///< [F] override; < 0 = package default
-  int n_drivers = 8;
-  double rise_time = 0.1e-9; ///< [s] input ramp
-  bool include_c = true;     ///< false = Section 3 L-only model
-  bool sim = false;          ///< estimate: verify on the MNA simulator
-  int samples = 1000;        ///< mc: closed-form sample count
-  int seed = 12345;          ///< mc: PRNG seed
-  int max_n = 16;            ///< sweep-n: largest driver count
   double deadline_s = 0.0;   ///< [s] per-request budget; 0 = server default
 };
 
@@ -81,9 +68,9 @@ struct RequestParse {
 /// the SSN-E063 response can still be correlated by the client.
 RequestParse parse_request(const std::string& line);
 
-/// Canonical cache identity of a request: every field that affects the
-/// result, none that does not (id and deadline are excluded). Two requests
-/// with equal keys produce bit-identical result payloads.
+/// Canonical cache identity of a request: its query's canonical string
+/// (analysis::canonical_string), so id and deadline are excluded. Two
+/// requests with equal keys produce bit-identical result payloads.
 std::string cache_key_string(const ServeRequest& request);
 std::uint64_t cache_key(const ServeRequest& request);
 

@@ -101,6 +101,16 @@ TEST(Cli, SweepNEmitsCsv) {
   EXPECT_GE(std::count(out.begin(), out.end(), '\n'), 5);
 }
 
+TEST(Cli, SweepNWithZeroCapacitanceUsesTheLOnlyModel) {
+  // --c 0 leaves no pad capacitance to model: the with-C rule selects the
+  // L-only model (as serve does for "c":0) instead of failing in LcModel.
+  std::string out, err;
+  ASSERT_EQ(run({"sweep-n", "--c", "0", "--max-n", "2"}, out, err), 0) << err;
+  EXPECT_EQ(out.rfind("n,sim,this_work", 0), 0u) << out;
+  EXPECT_NE(out.find("\n1,"), std::string::npos) << out;
+  EXPECT_NE(out.find("\n2,"), std::string::npos) << out;
+}
+
 TEST(Cli, DesignAnswersQueries) {
   std::string out, err;
   ASSERT_EQ(run({"design", "--budget", "0.3"}, out, err), 0) << err;

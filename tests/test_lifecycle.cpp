@@ -400,6 +400,33 @@ TEST(Lifecycle, DriverRejectsJournalWithOutOfRangeFidelity) {
   std::remove(path.c_str());
 }
 
+TEST(Lifecycle, DriverSweepResumesAResidualDegradedRecord) {
+  // A point that failed with residual-degraded is journaled with that kind;
+  // the sweep must replay it like the Monte Carlo driver does, not reject
+  // its own journal as out of range.
+  const std::string path = temp_path("residual_degraded_sweep_journal.txt");
+  support::write_file_atomic(
+      path, "ssnkit-journal v1\nkind sweep-n\nconfig 0000000000000000\n"
+            "total 2\nitem 0 " +
+                std::to_string(int(sim::Fidelity::kFailed)) +
+                " 0000000000000000 " +
+                std::to_string(
+                    int(support::SolverErrorKind::kResidualDegraded)) +
+                " -1\n");
+  const auto loaded = support::BatchJournal::load(path);
+  ASSERT_EQ(loaded.items.size(), 1u);
+  analysis::DriverSweepConfig config;
+  config.driver_counts = {1, 2};
+  config.resume = &loaded.items;
+  const auto result = analysis::run_driver_sweep(config);
+  EXPECT_EQ(result.resumed, 1u);
+  EXPECT_EQ(result.summary.failed, 1u);
+  EXPECT_EQ(result.summary.by_error.at("residual-degraded"), 1u);
+  ASSERT_EQ(result.rows.size(), 1u);
+  EXPECT_EQ(result.rows[0].n, 2);
+  std::remove(path.c_str());
+}
+
 // --- write_file_atomic ------------------------------------------------------
 
 TEST(Lifecycle, AtomicWriteReplacesContentCompletely) {

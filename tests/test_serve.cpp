@@ -194,6 +194,28 @@ TEST(ServeProtocol, CacheKeyIgnoresIdAndDeadlineOnly) {
             serve::cache_key_string(tweaked));
 }
 
+TEST(ServeProtocol, CacheKeyStringIsPinned) {
+  // The exact bytes of the canonical string (and its FNV-1a key) are what a
+  // spill file written by an earlier build is looked up with: a change here
+  // silently turns every spilled entry into a miss. Pinned to literals.
+  const auto est = parse_request(
+      R"({"id":"x","cmd":"estimate","tech":"250nm","golden":"bsim",)"
+      R"("package":"qfp","pads":2,"l":3e-9,"n":12,"tr":2e-10,"sim":true,)"
+      R"("deadline":4})");
+  ASSERT_TRUE(est.ok) << est.error;
+  EXPECT_EQ(serve::cache_key_string(est.request),
+            "serve-v1|bench-r2|estimate|250nm|bsim|qfp|2|3e29c511dc3a41df|"
+            "bff0000000000000|12|3deb7cdfd9d7bdbb|cs|1000|12345|16");
+  EXPECT_EQ(serve::cache_key(est.request), 0xe1b207c19738a9ceULL);
+  const auto mc = parse_request(
+      R"({"cmd":"mc","c":0,"include_c":false,"samples":500,"seed":7})");
+  ASSERT_TRUE(mc.ok) << mc.error;
+  EXPECT_EQ(serve::cache_key_string(mc.request),
+            "serve-v1|bench-r2|mc|180nm|alpha|pga|1|bff0000000000000|"
+            "0000000000000000|8|3ddb7cdfd9d7bdbb|--|500|7|16");
+  EXPECT_EQ(serve::cache_key(mc.request), 0x556c542928c96b18ULL);
+}
+
 TEST(ServeProtocol, RendersResponsesAsSingleJsonLines) {
   const std::string ok = serve::render_ok("r1", "{\"x\":1}", true, 42);
   EXPECT_TRUE(parse_json(ok).ok) << ok;
