@@ -14,6 +14,10 @@
 #          a worker mid-load, and assert the containment contract: daemon
 #          exits 0, every request answered exactly once (typed SSN-E069 at
 #          worst), the dead worker noticed (SSN-W075) and respawned
+#   leg 4  process-mode deadline: --request-deadline reaches the worker, so
+#          a slow request with no deadline of its own is cancelled
+#          cooperatively (SSN-E066, as in thread mode) and the watchdog
+#          never has to SIGKILL anything
 #
 # The SIGTERM may land after the load already finished on a fast machine —
 # the drain is then trivial but still exercised end to end, so the
@@ -230,5 +234,26 @@ if [ "$PACCEPTED" != "$PRESPONDED" ]; then
 fi
 echo "process isolation OK (spawns=$SPAWNS deaths=$DEATHS," \
      "$PACCEPTED/$PACCEPTED answered)"
+
+echo "=== leg 4: process mode, --request-deadline cancels cooperatively ==="
+# The slow sweep from leg 2 (~0.3 s), sent twice with no deadline of its
+# own: the daemon's 50 ms default is the budget, so each answers SSN-E066
+# from its worker well inside the watchdog's 50 ms + 50 ms kill time.
+SLOW='"cmd":"sweep-n","max_n":64,"golden":"bsim","tr":1e-6,"l":1e-7,"c":1e-10'
+printf '{"id":"late1",%s}\n{"id":"late2",%s}\n' "$SLOW" "$SLOW" \
+  | "$SSNKIT" serve --isolate process --request-deadline 0.05 --grace 0.05 \
+      > "$WORK/deadline.log"
+LATE=$(grep -c '"id":"late[12]","ok":false,"code":"SSN-E066"' \
+       "$WORK/deadline.log" || true)
+DSTATS=$(grep '"event":"stats"' "$WORK/deadline.log" | tail -1)
+if [ "$LATE" != 2 ] \
+   || [ "$(echo "$DSTATS" | jq -r .worker_timeouts)" != 0 ] \
+   || [ "$(echo "$DSTATS" | jq -r .quarantined)" != 0 ] \
+   || grep -q '"code":"SSN-W075"' "$WORK/deadline.log"; then
+  echo "serve_smoke: process-mode deadline did not cancel cooperatively" >&2
+  cat "$WORK/deadline.log" >&2
+  exit 1
+fi
+echo "process-mode deadline OK (2 x SSN-E066, no watchdog kill)"
 
 echo "serve_smoke: PASS (clean drain, $ACCEPTED/$ACCEPTED accepted requests answered)"

@@ -9,7 +9,6 @@
 #include "analysis/sweeps.hpp"
 #include "circuit/netlist.hpp"
 #include "circuit/testbench.hpp"
-#include "serve/protocol.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
 #include "core/l_only_model.hpp"
@@ -29,7 +28,6 @@
 #include <iostream>
 #include <map>
 #include <optional>
-#include <mutex>
 #include <ostream>
 #include <sstream>
 
@@ -259,7 +257,8 @@ serve options:
   --cache N                    result-cache entries, 0 disables (default 4096)
   --cache-file FILE            crash-safe cache spill; a restarted daemon
                                warms from it
-  --request-deadline S         default per-request budget (0 = none)
+  --request-deadline S         default per-request budget, 0 to 3600 s
+                               (0 = none)
   --drain S                    drain budget on SIGTERM before in-flight
                                requests are cancelled with SSN-E066
                                (default 5); clean drain exits 0
@@ -709,7 +708,11 @@ int cmd_serve(const Args& args, std::ostream& os) {
   if (cache < 0) throw std::invalid_argument("--cache must be >= 0");
   config.cache_capacity = std::size_t(cache);
   config.cache_file = args.get_or("cache-file", "");
+  // Forwarded on the worker's request line: keep it in the wire's range.
   config.default_deadline_s = args.get_double("request-deadline", 0.0);
+  if (!(config.default_deadline_s >= 0.0 &&
+        config.default_deadline_s <= 3600.0))
+    throw std::invalid_argument("--request-deadline must be in [0, 3600] s");
   config.drain_deadline_s = args.get_double("drain", 5.0);
   const std::string isolate = args.get_or("isolate", "thread");
   if (isolate == "process") {
@@ -751,30 +754,16 @@ int cmd_serve(const Args& args, std::ostream& os) {
   serve::Server server(config);
   if (socket_path.empty())
     return server.serve_stream(std::cin, os, &life.ctx);
-
-  for (const std::string& warning : server.warm_warnings())
-    os << "{\"event\":\"warning\",\"code\":\"SSN-W067\",\"message\":\""
-       << serve::json_escape(warning) << "\"}\n";
-  os.flush();
-  // Socket mode: responses go to the clients' connections, but supervisor
-  // lifecycle events (worker spawns/deaths, quarantine warnings) belong on
-  // the daemon's own stream, where an operator or soak harness reads them.
-  std::mutex event_mu;
-  server.set_event_sink([&os, &event_mu](const std::string& line) {
-    std::lock_guard<std::mutex> lock(event_mu);
-    os << line << '\n';
-    os.flush();
-  });
+  // Socket mode: responses go to the clients' connections; the daemon's own
+  // stream carries the warm-up warnings, supervisor events and stats line.
   serve::SocketOptions sopts;
   sopts.path = socket_path;
-  std::string err;
-  if (serve::serve_unix_socket(server, sopts, &life.ctx, err) != 0) {
-    os << "error: " << err << "\n";
+  return server.run(os, [&](const serve::ResponseSink& out) {
+    std::string err;
+    if (serve::serve_unix_socket(server, sopts, &life.ctx, err) == 0) return 0;
+    out("error: " + err);
     return 1;
-  }
-  os << serve::render_stats(server.stats()) << "\n";
-  os.flush();
-  return 0;
+  });
 }
 
 int run_cli(const std::vector<std::string>& argv, std::ostream& os,

@@ -3,6 +3,7 @@
 #include "analysis/query.hpp"
 #include "core/lc_model.hpp"
 
+#include <chrono>
 #include <string>
 
 namespace ssnkit::serve {
@@ -28,8 +29,8 @@ std::shared_ptr<const analysis::Calibration> CalibrationCache::get(
 
 namespace {
 
-/// Throw the stop that drained a query as a typed SolverError, so the
-/// server's one catch site maps every cooperative stop onto SSN-E066.
+/// Throw the stop that drained a query as a typed SolverError, so respond's
+/// one catch site maps every cooperative stop onto SSN-E066.
 void throw_stop(support::StopReason stop) {
   const auto kind = stop == support::StopReason::kDeadlineExpired
                         ? support::SolverErrorKind::kDeadlineExpired
@@ -117,6 +118,34 @@ std::string execute_request(const ServeRequest& request,
                                               : render_sweep_n(r.sweep);
   out += ",\"trust\":" + render_trust(r.trust);
   out += "}";
+  return out;
+}
+
+WorkerOutcome respond(const ServeRequest& request,
+                      CalibrationCache& calibrations,
+                      support::RunContext& ctx) {
+  if (request.deadline_s > 0.0) ctx.set_timeout(request.deadline_s);
+  const auto t0 = std::chrono::steady_clock::now();
+  WorkerOutcome out;
+  out.status = WorkerOutcome::Status::kError;
+  try {
+    out.fragment = execute_request(request, calibrations, &ctx);
+    const auto elapsed = std::chrono::duration_cast<std::chrono::microseconds>(
+        std::chrono::steady_clock::now() - t0);
+    out.status = WorkerOutcome::Status::kOk;
+    out.response = render_ok(request.id, out.fragment, /*cached=*/false,
+                             elapsed.count());
+  } catch (const support::SolverError& e) {
+    if (support::is_stop_kind(e.kind()))
+      out.status = WorkerOutcome::Status::kStopped;
+    out.response = render_solver_error(request.id, e);
+  } catch (const NonFiniteJsonError& e) {
+    // A NaN/inf reached the serializer: the result is corrupt and is
+    // refused with its own typed code rather than rendered as null.
+    out.response = render_error(request.id, "SSN-E067", e.what());
+  } catch (const std::exception& e) {
+    out.response = render_error(request.id, "SSN-E065", e.what());
+  }
   return out;
 }
 

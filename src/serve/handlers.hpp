@@ -1,10 +1,11 @@
-// Request execution for the serve daemon: answers a validated ServeRequest
-// with analysis::run_query (the CLI's query path too) and renders the JSON
-// result fragment. It throws support::SolverError on solver failure
-// (including the cooperative stop kinds when the request's RunContext
-// fires) and std::exception for anything else; the server maps those onto
-// SSN-E065/E066 for that one client. Nothing here touches sockets, queues or
-// global state, which keeps it directly unit-testable.
+// Request execution for the serve daemon, shared by both isolation modes:
+// execute_request answers a validated ServeRequest with analysis::run_query
+// (the CLI's query path too) and renders the JSON result fragment; respond
+// wraps it into the finished response line. respond is the one place an
+// exception becomes a response code (SSN-E065/E066/E067): thread mode calls
+// it on a pool thread, a process worker (worker.hpp) calls it in the child,
+// so a client cannot tell which mode answered. Nothing here touches sockets,
+// queues or global state, which keeps it directly unit-testable.
 #pragma once
 
 #include "analysis/calibrate.hpp"
@@ -42,5 +43,12 @@ class CalibrationCache {
 std::string execute_request(const ServeRequest& request,
                             CalibrationCache& calibrations,
                             const support::RunContext* ctx);
+
+/// Answer one request: arm `ctx` with its deadline_s (0 = none), run
+/// execute_request under it and return the finished line: ok (kOk),
+/// SSN-E066 for a stop (kStopped) or SSN-E065/E067 (kError).
+WorkerOutcome respond(const ServeRequest& request,
+                      CalibrationCache& calibrations,
+                      support::RunContext& ctx);
 
 }  // namespace ssnkit::serve

@@ -135,6 +135,8 @@ RequestParse parse_request(const std::string& line) {
                  ? std::string("missing 'cmd'")
                  : "unknown command '" + req.cmd +
                        "' (expected estimate, mc, or sweep-n)");
+    else if (req.sim && req.cmd != "estimate")
+      v.fail("field 'sim' applies only to estimate");
   }
   if (!v.failed()) {
     // Resolve the names now so a typo is an admission-time SSN-E063, not a
@@ -298,6 +300,22 @@ bool split_response_line(const std::string& line, ResponseView& out) {
   out.fragment = line.substr(at + marker.size(),
                              line.size() - 1 - (at + marker.size()));
   return !out.fragment.empty();
+}
+
+void ServerStats::count(WorkerOutcome::Status status) {
+  ++responded;
+  switch (status) {
+    case WorkerOutcome::Status::kOk: ++ok; break;
+    case WorkerOutcome::Status::kCached:
+      ++ok;
+      ++cache_hits;
+      break;
+    case WorkerOutcome::Status::kError: ++solver_errors; break;
+    case WorkerOutcome::Status::kWorkerTimeout: ++worker_timeouts; break;
+    case WorkerOutcome::Status::kWorkerCrashed: ++worker_crashes; break;
+    case WorkerOutcome::Status::kQuarantined: ++quarantined; break;
+    case WorkerOutcome::Status::kStopped: ++cancelled; break;
+  }
 }
 
 std::string render_stats(const ServerStats& s) {

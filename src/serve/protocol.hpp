@@ -140,6 +140,26 @@ struct ResponseView {
 /// (a worker that printed garbage is treated as crashed by the caller).
 bool split_response_line(const std::string& line, ResponseView& out);
 
+/// One answered request: the finished response line plus the class the
+/// server counts it under. serve::respond, Supervisor::execute, a cache hit
+/// and the drain-expired check all yield one, so the server sends
+/// `response` and counts `status` without knowing which of them answered.
+struct WorkerOutcome {
+  enum class Status {
+    kOk,             ///< ok line, computed now; fragment cacheable
+    kCached,         ///< ok line replayed from the result cache
+    kError,          ///< SSN-E065 / SSN-E067 (or an unexpected E063)
+    kWorkerTimeout,  ///< SSN-E068: watchdog SIGKILL
+    kWorkerCrashed,  ///< SSN-E069: worker died mid-request
+    kQuarantined,    ///< SSN-E070: refused up front
+    kStopped,        ///< SSN-E066: deadline, drain or shutdown
+  };
+  Status status = Status::kStopped;
+  std::string response;  ///< the finished line to send the client
+  std::string fragment;  ///< result fragment (kOk only)
+  std::string detail;   ///< human-readable cause of a supervisor failure
+};
+
 /// Aggregate daemon counters, rendered as the final stats line.
 struct ServerStats {
   std::uint64_t accepted = 0;    ///< requests admitted to the queue
@@ -154,6 +174,10 @@ struct ServerStats {
   std::uint64_t worker_timeouts = 0;  ///< SSN-E068: watchdog SIGKILLs
   std::uint64_t worker_crashes = 0;   ///< SSN-E069: worker deaths
   std::uint64_t quarantined = 0;      ///< SSN-E070: poison-key refusals
+
+  /// Count one response to an admitted request: `responded` plus the
+  /// counter of its outcome class.
+  void count(WorkerOutcome::Status status);
 };
 
 /// {"event":"stats","accepted":...,...} — one line, valid JSON.

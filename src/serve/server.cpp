@@ -57,6 +57,10 @@ void Server::submit_line(const std::string& line, ResponseSink sink) {
     generated.insert(generated.begin(), 'q');
     parsed.request.id = std::move(generated);
   }
+  // The one effective deadline, for the RunContext in either mode and for
+  // the watchdog.
+  if (parsed.request.deadline_s <= 0.0)
+    parsed.request.deadline_s = config_.default_deadline_s;
   if (draining()) {
     // Never accepted, so E064 ("go elsewhere"), not E066: the E066 contract
     // is reserved for requests the daemon took responsibility for.
@@ -122,160 +126,80 @@ void Server::process(Pending& pending) {
   // exceptions on the dispatcher thread, which would take the daemon down —
   // the exact opposite of the isolation contract.
   const auto t0 = std::chrono::steady_clock::now();
-  const std::string id = pending.request.id;
-  const auto elapsed_us = [&t0] {
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-  };
-  std::string response;
+  const ServeRequest& request = pending.request;
   std::string cache_warning;
-  enum class Outcome {
-    kOk,
-    kCacheHit,
-    kSolverError,
-    kCancelled,
-    kWorkerTimeout,
-    kWorkerCrashed,
-    kQuarantined
-  } outcome = Outcome::kSolverError;
+  WorkerOutcome out;
   try {
     if (drain_expired_.load(std::memory_order_acquire)) {
-      response = render_error(
-          id, "SSN-E066",
+      out.status = WorkerOutcome::Status::kStopped;
+      out.response = render_error(
+          request.id, "SSN-E066",
           "cancelled: drain deadline passed before the request started");
-      outcome = Outcome::kCancelled;
     } else {
-      const std::uint64_t key = cache_key(pending.request);
+      const std::uint64_t key = cache_key(request);
       std::optional<std::string> hit = cache_.get(key, &cache_warning);
-      if (hit) {
-        // Replay the stored verdict: only a verified/refined entry may be
-        // served from cache. Degraded or unverified entries — and entries
-        // with no parseable trust member at all (pre-trust-layer or
-        // damaged) — are recomputed, never served as-is.
-        verify::Verdict verdict = verify::Verdict::kUnverified;
-        if (!extract_trust_verdict(*hit, verdict) ||
-            verify::verdict_rank(verdict) >
-                verify::verdict_rank(verify::Verdict::kRefined))
-          hit.reset();
-      }
-      if (hit) {
-        response = render_ok(id, *hit, /*cached=*/true, elapsed_us());
-        outcome = Outcome::kCacheHit;
-      } else if (supervisor_ != nullptr) {
-        // Process isolation: the request executes in a sandboxed worker and
-        // the watchdog enforces its wall-clock budget with SIGKILL, so even
-        // a solve that never polls its context cannot outlive the deadline.
-        const double deadline = pending.request.deadline_s > 0.0
-                                    ? pending.request.deadline_s
-                                    : config_.default_deadline_s;
-        const WorkerOutcome wo = supervisor_->execute(pending.request, deadline);
-        switch (wo.status) {
-          case WorkerOutcome::Status::kOk:
-            cache_.put(key, wo.fragment);
-            maybe_spill();
-            // The worker's verbatim response line: its id is the client's
-            // and its elapsed_us measured the actual solve.
-            response = wo.response;
-            outcome = Outcome::kOk;
-            break;
-          case WorkerOutcome::Status::kError:
-            response = wo.response;
-            outcome = wo.cancelled ? Outcome::kCancelled
-                                   : Outcome::kSolverError;
-            break;
-          case WorkerOutcome::Status::kWorkerTimeout:
-            response = render_error(id, "SSN-E068", wo.detail);
-            outcome = Outcome::kWorkerTimeout;
-            break;
-          case WorkerOutcome::Status::kWorkerCrashed:
-            response = render_error(id, "SSN-E069", wo.detail);
-            outcome = Outcome::kWorkerCrashed;
-            break;
-          case WorkerOutcome::Status::kQuarantined:
-            response = render_error(id, "SSN-E070", wo.detail);
-            outcome = Outcome::kQuarantined;
-            break;
-          case WorkerOutcome::Status::kStopped:
-            response = render_error(
-                id, "SSN-E066",
-                "cancelled: daemon drained while the request was in flight");
-            outcome = Outcome::kCancelled;
-            break;
-        }
+      // Replay the stored verdict: only a verified/refined entry may be
+      // served from cache. Degraded or unverified entries — and entries
+      // with no parseable trust member at all (pre-trust-layer or damaged)
+      // — are recomputed, never served as-is.
+      verify::Verdict verdict = verify::Verdict::kUnverified;
+      if (hit && extract_trust_verdict(*hit, verdict) &&
+          verify::verdict_rank(verdict) <=
+              verify::verdict_rank(verify::Verdict::kRefined)) {
+        out.status = WorkerOutcome::Status::kCached;
+        out.response = render_ok(
+            request.id, *hit, /*cached=*/true,
+            std::chrono::duration_cast<std::chrono::microseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
       } else {
-        support::RunContext ctx;
-        const double deadline = pending.request.deadline_s > 0.0
-                                    ? pending.request.deadline_s
-                                    : config_.default_deadline_s;
-        if (deadline > 0.0) ctx.set_timeout(deadline);
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          active_.push_back(&ctx);
-          // A drain that already expired while we queued must still cancel
-          // us; the expiry sweep ran before we registered.
-          if (drain_expired_.load(std::memory_order_acquire))
-            ctx.request_cancel();
-        }
-        try {
-          const std::string fragment =
-              execute_request(pending.request, calibrations_, &ctx);
-          cache_.put(key, fragment);
+        out = supervisor_ != nullptr
+                  ? supervisor_->execute(request, request.deadline_s)
+                  : respond_in_thread(request);
+        if (out.status == WorkerOutcome::Status::kOk) {
+          cache_.put(key, out.fragment);
           maybe_spill();
-          response = render_ok(id, fragment, /*cached=*/false, elapsed_us());
-          outcome = Outcome::kOk;
-        } catch (const support::SolverError& e) {
-          response = render_solver_error(id, e);
-          outcome = support::is_stop_kind(e.kind()) ? Outcome::kCancelled
-                                                    : Outcome::kSolverError;
-        } catch (const NonFiniteJsonError& e) {
-          // A NaN/inf reached the serializer: the result is corrupt and is
-          // refused with its own typed code rather than rendered as null.
-          response = render_error(id, "SSN-E067", e.what());
-          outcome = Outcome::kSolverError;
-        } catch (const std::exception& e) {
-          response = render_error(id, "SSN-E065", e.what());
-          outcome = Outcome::kSolverError;
         }
-        std::lock_guard<std::mutex> lock(mu_);
-        active_.erase(std::remove(active_.begin(), active_.end(), &ctx),
-                      active_.end());
       }
     }
   } catch (...) {  // ssnlint-ignore(SSN-L005)
     // Isolation backstop: anything escaping a worker would be rethrown by
     // the pool on the dispatcher thread and kill the daemon.
-    response = render_error(id, "SSN-E065", "internal error");
-    outcome = Outcome::kSolverError;
+    out.status = WorkerOutcome::Status::kError;
+    out.response = render_error(request.id, "SSN-E065", "internal error");
   }
   // Count the response before emitting it: a client that has seen its
   // response line must never observe stats that do not yet include it
   // (the accepted == responded drain contract is checked from outside).
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.responded;
-    switch (outcome) {
-      case Outcome::kOk: ++stats_.ok; break;
-      case Outcome::kCacheHit:
-        ++stats_.ok;
-        ++stats_.cache_hits;
-        break;
-      case Outcome::kSolverError: ++stats_.solver_errors; break;
-      case Outcome::kCancelled: ++stats_.cancelled; break;
-      case Outcome::kWorkerTimeout: ++stats_.worker_timeouts; break;
-      case Outcome::kWorkerCrashed: ++stats_.worker_crashes; break;
-      case Outcome::kQuarantined: ++stats_.quarantined; break;
-    }
+    stats_.count(out.status);
   }
   try {
     if (!cache_warning.empty())
       pending.sink(
           "{\"event\":\"warning\",\"code\":\"SSN-W072\",\"message\":\"" +
           json_escape(cache_warning) + "\"}");
-    pending.sink(response);
+    pending.sink(out.response);
   } catch (...) {  // ssnlint-ignore(SSN-L005)
     // A dead client cannot be responded to; the daemon carries on.
   }
+}
+
+WorkerOutcome Server::respond_in_thread(const ServeRequest& request) {
+  support::RunContext ctx;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    active_.push_back(&ctx);
+    // A drain that already expired while we queued must still cancel us;
+    // the expiry sweep ran before we registered.
+    if (drain_expired_.load(std::memory_order_acquire)) ctx.request_cancel();
+  }
+  WorkerOutcome out = respond(request, calibrations_, ctx);
+  std::lock_guard<std::mutex> lock(mu_);
+  active_.erase(std::remove(active_.begin(), active_.end(), &ctx),
+                active_.end());
+  return out;
 }
 
 void Server::maybe_spill() {
@@ -379,6 +303,19 @@ void Server::emit_event(const std::string& line) {
 
 int Server::serve_stream(std::istream& in, std::ostream& out,
                          const support::RunContext* stop_ctx) {
+  return run(out, [&](const ResponseSink& sink) {
+    std::string line;
+    while (!(stop_ctx != nullptr &&
+             stop_ctx->stop_requested() != support::StopReason::kNone) &&
+           std::getline(in, line)) {
+      if (line.empty()) continue;
+      submit_line(line, sink);
+    }
+    return 0;
+  });
+}
+
+int Server::run(std::ostream& out, const Transport& transport) {
   std::mutex out_mu;
   for (const std::string& warning : warm_warnings_) {
     out << "{\"event\":\"warning\",\"code\":\"SSN-W067\",\"message\":\""
@@ -391,25 +328,20 @@ int Server::serve_stream(std::istream& in, std::ostream& out,
     out.flush();
   };
   // Supervisor lifecycle events share the stream (and its lock) with
-  // responses; buffered constructor-time spawn events flush here.
+  // whatever the transport writes there; buffered constructor-time spawn
+  // events flush here.
   set_event_sink(sink);
-  std::string line;
-  while (!(stop_ctx != nullptr &&
-           stop_ctx->stop_requested() != support::StopReason::kNone) &&
-         std::getline(in, line)) {
-    if (line.empty()) continue;
-    submit_line(line, sink);
-  }
+  const int rc = transport(sink);
   finish();
   // The supervisor is shut down inside finish(); detach the sink so no
-  // event can outlive this frame's stream references.
+  // event can outlive this frame's stream lock.
   set_event_sink(nullptr);
-  {
+  if (rc == 0) {
     std::lock_guard<std::mutex> lock(out_mu);
     out << render_stats(stats()) << '\n';
     out.flush();
   }
-  return 0;
+  return rc;
 }
 
 }  // namespace ssnkit::serve

@@ -9,7 +9,8 @@
 //     bounded no matter how hard clients push.
 //   - One request's failure is that request's problem: a SolverError (or a
 //     per-request deadline) is serialized back to its client as
-//     SSN-E065/E066 and the daemon keeps serving.
+//     SSN-E065/E066 and the daemon keeps serving. Admission resolves the
+//     one deadline (the request's, else default_deadline_s) both modes use.
 //   - Every *accepted* request gets exactly one response, even across a
 //     drain: requests still queued when the drain deadline passes are
 //     answered with SSN-E066 instead of being dropped.
@@ -65,6 +66,7 @@ struct ServerConfig {
   /// Spill the cache every this many successful results (and on drain).
   std::size_t cache_spill_every = 256;
   /// Per-request wall-clock budget when the request names none; 0 = none.
+  /// Process mode forwards it on the wire, so it must lie in [0, 3600].
   double default_deadline_s = 0.0;
   /// How long a drain waits for in-flight work before cancelling it.
   double drain_deadline_s = 5.0;
@@ -128,9 +130,18 @@ class Server {
   /// buffering. Thread-safe.
   void set_event_sink(ResponseSink sink);
 
+  /// A front end's serving loop: gets a locked line writer onto the
+  /// daemon's own stream, returns 0 on a clean stop or an exit code.
+  using Transport = std::function<int(const ResponseSink& out)>;
+
+  /// Start-up and shutdown around one transport, shared by stdin and
+  /// socket mode: print the SSN-W067 warm-up warnings on `out`, route
+  /// supervisor events there, run `transport`, finish(), detach the event
+  /// sink and, if the transport returned 0, print the stats line.
+  int run(std::ostream& out, const Transport& transport);
+
   /// Serve newline-delimited requests from a stream until EOF (or until
-  /// `stop_ctx` trips between lines), then finish(). Responses and the
-  /// final stats line go to `out`, one JSON object per line. Returns 0.
+  /// `stop_ctx` trips between lines) through run(), responses on `out`.
   int serve_stream(std::istream& in, std::ostream& out,
                    const support::RunContext* stop_ctx = nullptr);
 
@@ -142,6 +153,8 @@ class Server {
 
   void dispatcher_loop();
   void process(Pending& pending);
+  /// Thread mode's execute: respond() under a context the drain can cancel.
+  WorkerOutcome respond_in_thread(const ServeRequest& request);
   void maybe_spill();
   void emit_event(const std::string& line);
 

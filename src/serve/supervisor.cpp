@@ -22,6 +22,17 @@ Clock::duration ms_duration(double ms) {
       std::chrono::duration<double, std::milli>(ms));
 }
 
+/// A request that ends without a worker's answer line: the typed error the
+/// parent renders for it, with the same text kept as `detail`.
+WorkerOutcome failed(WorkerOutcome::Status status, const std::string& id,
+                     const char* code, std::string detail) {
+  WorkerOutcome out;
+  out.status = status;
+  out.response = render_error(id, code, detail);
+  out.detail = std::move(detail);
+  return out;
+}
+
 }  // namespace
 
 // --- CrashCorrelation --------------------------------------------------------
@@ -174,15 +185,15 @@ void Supervisor::watchdog_loop() {
 WorkerOutcome Supervisor::execute(const ServeRequest& request,
                                   double deadline_s) {
   const std::uint64_t key = cache_key(request);
-  if (correlation_.quarantined(key)) {
-    WorkerOutcome out;
-    out.status = WorkerOutcome::Status::kQuarantined;
-    out.detail = "request quarantined: cache key " + support::hex_u64(key) +
-                 " has killed " + std::to_string(correlation_.threshold()) +
-                 " workers";
-    return out;
-  }
-  const std::string line = render_request(request);
+  if (correlation_.quarantined(key))
+    return failed(WorkerOutcome::Status::kQuarantined, request.id, "SSN-E070",
+                  "request quarantined: cache key " + support::hex_u64(key) +
+                      " has killed " +
+                      std::to_string(correlation_.threshold()) + " workers");
+  // The worker stops itself at the deadline the watchdog enforces.
+  ServeRequest forwarded = request;
+  forwarded.deadline_s = deadline_s;
+  const std::string line = render_request(forwarded);
 
   // A worker can die *between* requests (delayed rlimit kill, spawn flake);
   // a request that never reached a worker is retried on another slot
@@ -241,11 +252,11 @@ WorkerOutcome Supervisor::execute(const ServeRequest& request,
         }
         cv_idle_.notify_one();
         WorkerOutcome out;
-        out.status = view.ok ? WorkerOutcome::Status::kOk
-                             : WorkerOutcome::Status::kError;
-        out.response = response;
-        out.fragment = view.fragment;
-        out.cancelled = view.cancelled;
+        out.status = view.ok          ? WorkerOutcome::Status::kOk
+                     : view.cancelled ? WorkerOutcome::Status::kStopped
+                                      : WorkerOutcome::Status::kError;
+        out.response = std::move(response);
+        out.fragment = std::move(view.fragment);
         return out;
       }
       // A worker that emits garbage has corrupted state: same treatment as
@@ -282,7 +293,7 @@ WorkerOutcome Supervisor::execute(const ServeRequest& request,
          ") died: " + json_escape(support::describe_exit(es)) +
          "; restart in " + std::to_string(int(backoff_ms)) + " ms\"}");
 
-    if (was_drain || stopping) break;  // typed SSN-E066 by the caller
+    if (was_drain || stopping) break;  // answered SSN-E066 below
     if (!wrote) continue;  // never accepted the request: not the key's fault
 
     const int count = correlation_.record(key, line);
@@ -291,23 +302,19 @@ WorkerOutcome Supervisor::execute(const ServeRequest& request,
            "key " + support::hex_u64(key) + " quarantined after " +
            std::to_string(count) + " worker deaths\"}");
 
-    WorkerOutcome out;
-    if (was_timeout) {
-      out.status = WorkerOutcome::Status::kWorkerTimeout;
-      out.detail = "worker exceeded its " + std::to_string(deadline_s) +
-                   " s deadline (+" + std::to_string(config_.grace_s) +
-                   " s grace) and was killed";
-    } else {
-      out.status = WorkerOutcome::Status::kWorkerCrashed;
-      out.detail = "worker died mid-request: " + support::describe_exit(es);
-    }
-    return out;
+    if (was_timeout)
+      return failed(WorkerOutcome::Status::kWorkerTimeout, request.id,
+                    "SSN-E068",
+                    "worker exceeded its " + std::to_string(deadline_s) +
+                        " s deadline (+" + std::to_string(config_.grace_s) +
+                        " s grace) and was killed");
+    return failed(WorkerOutcome::Status::kWorkerCrashed, request.id,
+                  "SSN-E069",
+                  "worker died mid-request: " + support::describe_exit(es));
   }
 
-  WorkerOutcome out;
-  out.status = WorkerOutcome::Status::kStopped;
-  out.detail = "supervisor stopping";
-  return out;
+  return failed(WorkerOutcome::Status::kStopped, request.id, "SSN-E066",
+                "cancelled: daemon drained while the request was in flight");
 }
 
 void Supervisor::kill_inflight() {

@@ -1,7 +1,7 @@
 // Supervised worker pool for `ssnkit serve --isolate=process`: crash
 // containment, a hang watchdog, and poison-request quarantine.
 //
-// Thread mode (PR 7/8) already guarantees exactly-once typed responses and
+// Thread mode already guarantees exactly-once typed responses and
 // never-silently-wrong results — but only for failures that behave: a
 // segfault in one solve kills every in-flight request, and a non-cooperative
 // hang (a loop that never polls its RunContext) eats a pool thread forever.
@@ -13,9 +13,9 @@
 //           attached; the slot respawns with exponential backoff so a
 //           crash-looping workload cannot turn the daemon into fork(2) spam.
 //   hang    Each in-flight request carries a wall-clock kill time
-//           (deadline + grace). The watchdog SIGKILLs a worker that is
-//           still busy past it and the request fails typed SSN-E068 —
-//           deadlines are finally enforced against code that never polls.
+//           (deadline + grace). A worker still busy past it (code that
+//           ignored its cooperative stop at the deadline) is SIGKILLed and
+//           the request fails typed SSN-E068.
 //   poison  A crash-correlation table counts worker deaths per cache key.
 //           A key that has killed `quarantine_after` workers is refused up
 //           front with SSN-E070 and the offending request line is appended
@@ -23,9 +23,10 @@
 //           can never crash-loop the fleet.
 //
 // Workers speak the ordinary serve wire protocol over a socketpair
-// (render_request in, one response line out), so the protocol invariants —
-// exactly one line per request, typed codes, trust-stamped results — hold
-// across the process hop with no second code path.
+// (render_request in, one response line out) and answer through the same
+// serve::respond as thread mode, so the protocol invariants — exactly one
+// line per request, typed codes, trust-stamped results — hold across the
+// process hop with no second code path.
 //
 // Concurrency: execute() is called from the server's pool threads, one
 // in-flight request per worker slot; a single watchdog thread owns kills
@@ -95,23 +96,6 @@ class CrashCorrelation {
   std::size_t quarantined_ = 0;                    // guarded by mu_
 };
 
-/// One executed (or refused) request, as observed by the parent.
-struct WorkerOutcome {
-  enum class Status {
-    kOk,             ///< worker returned an ok response; fragment cacheable
-    kError,          ///< worker returned a typed error response (pass through)
-    kWorkerTimeout,  ///< watchdog SIGKILL — render SSN-E068
-    kWorkerCrashed,  ///< worker died mid-request — render SSN-E069
-    kQuarantined,    ///< refused up front — render SSN-E070
-    kStopped,        ///< drain/shutdown ended it — render SSN-E066
-  };
-  Status status = Status::kStopped;
-  std::string response;   ///< worker's verbatim line (kOk / kError)
-  std::string fragment;   ///< result fragment (kOk only)
-  bool cancelled = false; ///< kError carrying SSN-E066 (worker-side deadline)
-  std::string detail;     ///< human-readable cause for the typed failures
-};
-
 class Supervisor {
  public:
   /// Lifecycle event lines ({"event":"worker-spawn",...} and SSN-W075/W076
@@ -126,9 +110,11 @@ class Supervisor {
   Supervisor(const Supervisor&) = delete;
   Supervisor& operator=(const Supervisor&) = delete;
 
-  /// Run one request on an idle worker (blocking until one is free).
-  /// `deadline_s` is the effective per-request budget the watchdog enforces
-  /// (0 = no wall-clock kill). Thread-safe; one worker per concurrent call.
+  /// Run one request on an idle worker (blocking until one is free) and
+  /// return the worker's line, or the SSN-E066/E068/E069/E070 line for a
+  /// failure only the parent sees. `deadline_s` is sent as the request's
+  /// deadline and the watchdog kills at deadline + grace (0 = neither).
+  /// Thread-safe; one worker per concurrent call.
   WorkerOutcome execute(const ServeRequest& request, double deadline_s);
 
   /// Drain support: SIGKILL every busy worker so their requests resolve as

@@ -2,9 +2,10 @@
 // runs inside each sandboxed child the Supervisor forks.
 //
 // One worker handles one request at a time: it reads a render_request()
-// line from its socketpair, executes it through the same execute_request()
-// path the thread-mode server uses, and writes back one standard response
-// line (render_ok / render_solver_error / render_error). Everything the
+// line from its socketpair, answers it with serve::respond (handlers.hpp),
+// as the thread-mode server does on its pool threads, and writes back the
+// line respond rendered. The line's "deadline" is the effective budget, so
+// the worker cancels with SSN-E066 when thread mode would. Everything the
 // protocol guarantees on the client wire therefore holds on the worker wire
 // too, and the supervisor can parse worker output with split_response_line.
 //

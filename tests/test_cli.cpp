@@ -175,6 +175,20 @@ TEST(Cli, BadOptionValueFails) {
   EXPECT_EQ(run({"calibrate", "--golden", "spice"}, out, err), 1);
 }
 
+TEST(Cli, ServeRejectsRequestDeadlineOutsideTheWireRange) {
+  // Process mode forwards the default deadline on the worker's request
+  // line, whose "deadline" range is [0, 3600] s: reject anything else up
+  // front, before a daemon starts, rather than as a worker-side SSN-E063.
+  for (const char* bad : {"-1", "3600.5", "1e9"}) {
+    std::string out, err;
+    EXPECT_EQ(run({"serve", "--request-deadline", bad}, out, err), 1) << bad;
+    EXPECT_NE(err.find("--request-deadline must be in [0, 3600] s"),
+              std::string::npos)
+        << bad << ": " << err;
+    EXPECT_EQ(out, "") << bad;
+  }
+}
+
 TEST(Cli, UnrecognizedOptionWarns) {
   std::string out, err;
   ASSERT_EQ(run({"calibrate", "--bogus", "1"}, out, err), 0);

@@ -172,6 +172,16 @@ TEST(ServeProtocol, RejectsBadRequestsWithRecoveredId) {
     EXPECT_FALSE(p.ok) << "accepted: " << bad;
     EXPECT_FALSE(p.error.empty()) << bad;
   }
+  // `sim` selects the simulator for estimate only; on mc and sweep-n it
+  // would be a silently ignored flag with its own cache key.
+  for (const char* bad : {R"({"id":"x","cmd":"mc","sim":true})",
+                          R"({"id":"x","cmd":"sweep-n","sim":true})"}) {
+    const auto p = parse_request(bad);
+    EXPECT_FALSE(p.ok) << "accepted: " << bad;
+    EXPECT_EQ(p.error, "field 'sim' applies only to estimate") << bad;
+    EXPECT_EQ(p.id, "x");
+  }
+  EXPECT_TRUE(parse_request(R"({"cmd":"mc","sim":false})").ok);
   // The id still comes back when the line parsed far enough to hold one, so
   // the SSN-E063 response stays correlatable.
   const auto p = parse_request(R"({"id":"find-me","cmd":"nope"})");

@@ -313,6 +313,103 @@ TEST(SupervisorProcess, DrainStaysBoundedWhenTheWorkerIsStopped) {
   EXPECT_EQ(stats.responded, 1u);
 }
 
+TEST(SupervisorProcess, ServerDefaultDeadlineCancelsCooperatively) {
+  // The server's default deadline is the request's one budget in process
+  // mode too: the worker cancels itself at it (SSN-E066, as thread mode
+  // does), and the watchdog's SIGKILL at deadline + grace never fires.
+  serve::ServerConfig config = process_config(2);
+  config.default_deadline_s = 0.05;
+  config.supervisor.grace_s = 0.05;
+  ResponseCollector rc;
+  std::mutex events_mu;
+  std::vector<std::string> events;
+  serve::ServerStats stats;
+  serve::Supervisor::Counters counters;
+  {
+    serve::Server server(config);
+    server.set_event_sink([&](const std::string& line) {
+      std::lock_guard<std::mutex> lock(events_mu);
+      events.push_back(line);
+    });
+    server.submit_line(R"({"id":"a",)" + std::string(kSlowSweep) + "}",
+                       rc.sink());
+    server.submit_line(R"({"id":"b",)" + std::string(kSlowSweep) + "}",
+                       rc.sink());
+    rc.await(2);
+    stats = server.stats();
+    counters = server.supervisor()->counters();
+    server.finish();
+    server.set_event_sink(nullptr);
+  }
+  const auto lines = rc.await(2);
+  ASSERT_EQ(lines.size(), 2u);
+  for (const auto& line : lines) {
+    EXPECT_NE(line.find("\"code\":\"SSN-E066\""), std::string::npos) << line;
+    EXPECT_NE(line.find("\"kind\":\"deadline-expired\""), std::string::npos)
+        << line;
+  }
+  EXPECT_EQ(stats.cancelled, 2u);
+  EXPECT_EQ(stats.worker_timeouts, 0u);
+  EXPECT_EQ(stats.quarantined, 0u);
+  EXPECT_EQ(counters.timeouts, 0u);
+  EXPECT_EQ(counters.spawns, 2u) << "a worker was killed and respawned";
+  EXPECT_EQ(count_lines_with(events, "SSN-W075"), 0);
+  EXPECT_EQ(count_lines_with(events, "SSN-W076"), 0);
+}
+
+TEST(SupervisorProcess, IsolationModesAnswerIdentically) {
+  // Both modes answer through serve::respond under the same deadline, so a
+  // request list gets the same bytes back from either (elapsed_us aside)
+  // and the same stats line. Requests go one at a time on one pool thread,
+  // so the cache sees the same order in both runs.
+  const std::vector<std::string> requests = {
+      R"({"id":"lc","cmd":"estimate","n":8,"tr":1e-10})",
+      R"({"id":"lonly","cmd":"estimate","n":8,"tr":1e-10,"include_c":false})",
+      R"({"id":"c0","cmd":"estimate","n":5,"c":0})",
+      R"({"id":"sim","cmd":"estimate","n":6,"tr":2e-10,"sim":true})",
+      R"({"id":"mc","cmd":"mc","samples":400,"seed":9})",
+      R"({"id":"sweep","cmd":"sweep-n","max_n":3})",
+      R"({"id":"again","cmd":"estimate","n":8,"tr":1e-10})",
+      R"({"id":"late",)" + std::string(kSlowSweep) + R"(,"deadline":0.01})",
+      R"({"id":"bad","cmd":"mc","sim":true})",
+  };
+  const auto answer = [&](serve::IsolateMode mode, std::string& stats_line) {
+    serve::ServerConfig config = process_config(1);
+    config.threads = 1;
+    config.isolate = mode;
+    serve::Server server(config);
+    ResponseCollector rc;
+    std::vector<std::string> lines;
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      server.submit_line(requests[i], rc.sink());
+      lines = rc.await(i + 1);
+    }
+    server.finish();
+    stats_line = serve::render_stats(server.stats());
+    for (auto& line : lines) {
+      const std::size_t at = line.find("\"elapsed_us\":");
+      if (at == std::string::npos) continue;
+      const std::size_t end = line.find(',', at);
+      line.erase(at, end + 1 - at);
+    }
+    return lines;
+  };
+  std::string thread_stats, process_stats;
+  const auto thread = answer(serve::IsolateMode::kThread, thread_stats);
+  const auto process = answer(serve::IsolateMode::kProcess, process_stats);
+  ASSERT_EQ(thread.size(), requests.size());
+  ASSERT_EQ(process.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i)
+    EXPECT_EQ(thread[i], process[i]) << requests[i];
+  EXPECT_EQ(thread_stats, process_stats);
+  // The list covers every outcome it means to: computed, cached, the
+  // deadline's E066 and the admission-time E063.
+  EXPECT_EQ(count_lines_with(thread, "\"ok\":true,\"cached\":false"), 6);
+  EXPECT_EQ(count_lines_with(thread, "\"ok\":true,\"cached\":true"), 1);
+  EXPECT_EQ(count_lines_with(thread, "SSN-E066"), 1);
+  EXPECT_EQ(count_lines_with(thread, "SSN-E063"), 1);
+}
+
 // --- injected worker faults (fault-injection preset only) --------------------
 
 TEST(SupervisorFaultInjection, PoisonKeyIsQuarantinedOnTheNthCrash) {
