@@ -60,6 +60,10 @@ void run_for(const process::Package& package, const char* label,
     max_err_lc = std::max(max_err_lc, r.err_lc);
   }
   std::printf("%s", table.to_string().c_str());
+  // Degraded or failed points are missing from (or approximate in) the
+  // table; say so, as `ssnkit sweep-c` does.
+  if (!result.summary.all_full_fidelity())
+    std::printf("# resilience: %s\n", result.summary.to_string().c_str());
 
   std::printf("\nLC-model worst error over the sweep: %.2f %% "
               "(paper claims < 3 %% on their testbed)\n",

@@ -88,7 +88,9 @@ if [ "$CHAOS_ONLY" = 1 ]; then
 fi
 
 echo "=== configure ($PRESET) ==="
-cmake --preset "$PRESET" -DCMAKE_EXPORT_COMPILE_COMMANDS=ON
+# Warnings are errors here as in CI, so a warning that breaks CI breaks
+# this gate too.
+cmake --preset "$PRESET" -DCMAKE_EXPORT_COMPILE_COMMANDS=ON -DSSNKIT_WERROR=ON
 
 echo "=== build ==="
 cmake --build --preset "$PRESET" -j

@@ -9,6 +9,7 @@
 #include <cmath>
 #include <random>
 #include <stdexcept>
+#include <utility>
 
 namespace ssnkit::analysis {
 
@@ -159,9 +160,10 @@ SimMonteCarloResult monte_carlo_vmax_sim(const Calibration& cal,
 
   // Run the transient batch (see run_resumable_batch for the resume,
   // lifecycle and fault-scope contract).
-  const std::vector<BatchSlot> measured = run_resumable_batch(
+  BatchRun batch = run_resumable_batch(
       out.samples.size(), opts.threads, opts.run_ctx, opts.journal,
-      opts.resume, [&](std::size_t i) {
+      opts.resume,
+      [&](std::size_t i) {
         const SimMcSample& s = out.samples[i];
         process::Package pkg = package;
         pkg.inductance *= s.l_factor;
@@ -172,10 +174,6 @@ SimMonteCarloResult monte_carlo_vmax_sim(const Calibration& cal,
             make_bench_spec(cal, pkg, n_drivers, tr, include_c);
         spec.driver_width_mult = s.width_factor;
 
-        MeasureOptions mopts = opts.measure;
-        if (mopts.transient.dt_max <= 0.0) mopts.transient.dt_max = tr / 200.0;
-        mopts.transient.run_ctx = opts.run_ctx;
-
         // The calibrated closed form for this sample: K scales with the
         // driver width, everything else comes from the perturbed package
         // and edge.
@@ -183,32 +181,28 @@ SimMonteCarloResult monte_carlo_vmax_sim(const Calibration& cal,
             make_scenario(cal, pkg, n_drivers, tr, include_c);
         scenario.device.k *= s.width_factor;
 
-        return measure_ssn_resilient(
-            spec, mopts, opts.recovery,
+        return measure_batch_item(
+            spec, opts.measure, opts.recovery, opts.run_ctx,
             opts.analytic_fallback ? &scenario : nullptr);
-      });
+      },
+      [](std::size_t i) { return "sample=" + std::to_string(i); });
+  out.completed = batch.summary.total;
+  out.resumed = batch.resumed;
+  out.stop = batch.summary.stop;
+  out.summary = std::move(batch.summary);
 
-  // Sequential replay in index order: the summary's note ordering and the
-  // survivor statistics come out identical for any thread count — and
-  // identical between a clean run and an interrupt + resume, because the
-  // journal restores exactly the fields this loop reads.
+  // The survivors, in index order, so their statistics and merged trust
+  // come out identical for any thread count and after a resume.
   std::vector<double> survivors;
   survivors.reserve(out.samples.size());
   for (SimMcSample& s : out.samples) {
-    const BatchSlot& slot = measured[std::size_t(s.index)];
-    if (!slot.attempted) {
-      ++out.summary.not_run;
-      continue;
-    }
+    const BatchSlot& slot = batch.slots[std::size_t(s.index)];
+    if (!slot.attempted) continue;
     const ResilientMeasurement& rm = slot.result;
-    out.summary.record("sample=" + std::to_string(s.index), rm.fidelity,
-                       rm.error);
     s.fidelity = rm.fidelity;
     s.verdict = rm.measurement.trust.verdict;
     s.completed = true;
     s.resumed = slot.resumed;
-    ++out.completed;
-    if (s.resumed) ++out.resumed;
     if (!rm.ok()) continue;
     s.v_max = rm.measurement.v_max;
     // Fold the sample's trust into the batch report: the first survivor
@@ -221,12 +215,6 @@ SimMonteCarloResult monte_carlo_vmax_sim(const Calibration& cal,
     survivors.push_back(s.v_max);
   }
 
-  // Report the stop reason only when it actually cost us samples: a
-  // deadline that expires just after the last sample finished did not stop
-  // anything, and reporting it would make a completed run look partial.
-  if (out.completed < out.samples.size() && opts.run_ctx != nullptr)
-    out.stop = opts.run_ctx->stop_reason();
-  out.summary.stop = out.stop;
   out.surviving = survivors.size();
   if (!survivors.empty()) {
     moments(survivors, out);

@@ -106,16 +106,18 @@ bool decode_point(const support::PointRecord& rec, ResilientMeasurement& rm) {
   return true;
 }
 
-std::vector<BatchSlot> run_resumable_batch(
+BatchRun run_resumable_batch(
     std::size_t count, int threads, const support::RunContext* ctx,
     support::BatchJournal* journal,
     const std::map<std::size_t, support::PointRecord>* resume,
-    const std::function<ResilientMeasurement(std::size_t)>& measure) {
-  std::vector<BatchSlot> slots(count);
+    const std::function<ResilientMeasurement(std::size_t)>& measure,
+    const std::function<std::string(std::size_t)>& label) {
+  BatchRun run;
+  run.slots.resize(count);
   support::parallel_for_index(
       threads, count,
       [&](std::size_t i) {
-        BatchSlot& slot = slots[i];
+        BatchSlot& slot = run.slots[i];
         if (resume != nullptr) {
           const auto it = resume->find(i);
           if (it != resume->end()) {
@@ -134,14 +136,41 @@ std::vector<BatchSlot> run_resumable_batch(
         ResilientMeasurement rm = measure(i);
         if (rm.error && support::is_stop_kind(rm.error->kind())) return;
         if (journal != nullptr) journal->record(i, encode_point(rm));
-        // The replays read numbers and verdicts only.
+        // The replay and the callers read numbers and verdicts only.
         rm.measurement.vssi = rm.measurement.i_l = {};
         rm.measurement.vin = rm.measurement.vout = {};
         slot.result = std::move(rm);
         slot.attempted = true;
       },
       ctx);
-  return slots;
+
+  // Index-order replay: note order and counters come out identical for any
+  // thread count, and identical between a clean run and an interrupt +
+  // resume, because the journal restores exactly the fields read here.
+  for (std::size_t i = 0; i < count; ++i) {
+    const BatchSlot& slot = run.slots[i];
+    if (!slot.attempted) {
+      ++run.summary.not_run;
+      continue;
+    }
+    if (slot.resumed) ++run.resumed;
+    run.summary.record(label(i), slot.result.fidelity, slot.result.error);
+  }
+  // Only a stop that cost items is reported: a deadline that expires just
+  // after the last item finished did not stop anything.
+  if (run.summary.not_run > 0 && ctx != nullptr)
+    run.summary.stop = ctx->stop_reason();
+  return run;
+}
+
+ResilientMeasurement measure_batch_item(
+    const circuit::SsnBenchSpec& spec, MeasureOptions opts,
+    const sim::RecoveryPolicy& policy, const support::RunContext* ctx,
+    const core::SsnScenario* analytic_fallback) {
+  if (opts.transient.dt_max <= 0.0)
+    opts.transient.dt_max = spec.input_rise_time / 200.0;
+  opts.transient.run_ctx = ctx;
+  return measure_ssn_resilient(spec, opts, policy, analytic_fallback);
 }
 
 void BatchSummary::record(const std::string& label, sim::Fidelity fidelity,

@@ -65,30 +65,6 @@ support::PointRecord encode_point(const ResilientMeasurement& rm);
 /// corrupt or future-version journal that still parsed structurally).
 bool decode_point(const support::PointRecord& rec, ResilientMeasurement& rm);
 
-/// One item of a resumable batch. A restored item's result carries only
-/// the journaled fields; no slot keeps the transient's waveforms.
-struct BatchSlot {
-  ResilientMeasurement result;
-  bool attempted = false;  ///< ran or restored; false = not-run (stopped)
-  bool resumed = false;    ///< restored from the resume set
-};
-
-/// The per-item plumbing every simulated batch (sweeps, simulator-backed
-/// Monte Carlo) shares. An item in `resume` is restored for free (no
-/// simulation, no item-budget charge) and re-recorded into `journal`; any
-/// other claims one item of `ctx`'s budget, runs `measure(i)` in its
-/// FaultSampleScope and is journaled as it finishes. An item a stop
-/// interrupted stays not-run and unjournaled, so a resume re-runs it and
-/// reproduces the uninterrupted batch bit-for-bit. Slots are
-/// index-addressed: the outcome is bit-identical for any thread count.
-/// Exceptions (from `measure`, or a bad resume record) propagate after the
-/// join.
-std::vector<BatchSlot> run_resumable_batch(
-    std::size_t count, int threads, const support::RunContext* ctx,
-    support::BatchJournal* journal,
-    const std::map<std::size_t, support::PointRecord>* resume,
-    const std::function<ResilientMeasurement(std::size_t)>& measure);
-
 /// Aggregated outcome of a batch of resilient runs (a sweep or a Monte
 /// Carlo population): how many items landed at each fidelity and which
 /// error kinds were seen.
@@ -113,5 +89,52 @@ struct BatchSummary {
   bool all_full_fidelity() const { return full_fidelity == total; }
   std::string to_string() const;
 };
+
+/// One item of a resumable batch. A restored item's result carries only
+/// the journaled fields; no slot keeps the transient's waveforms.
+struct BatchSlot {
+  ResilientMeasurement result;
+  bool attempted = false;  ///< ran or restored; false = not-run (stopped)
+  bool resumed = false;    ///< restored from the resume set
+
+  /// Ran (or was restored) and some rung produced a measurement.
+  bool ok() const { return attempted && result.ok(); }
+};
+
+/// A finished batch: one index-addressed slot per item and the summary
+/// replayed over them in index order.
+struct BatchRun {
+  std::vector<BatchSlot> slots;
+  /// Every attempted item recorded under `label(i)`; items a stop left
+  /// unrun are counted in `not_run`, and only then is `stop` set.
+  BatchSummary summary;
+  std::size_t resumed = 0;  ///< items restored from the resume set
+};
+
+/// The plumbing every simulated batch (sweeps, simulator-backed Monte
+/// Carlo) shares. An item in `resume` is restored for free (no simulation,
+/// no item-budget charge) and re-recorded into `journal`; any other claims
+/// one item of `ctx`'s budget, runs `measure(i)` in its FaultSampleScope
+/// and is journaled as it finishes. An item a stop interrupted stays
+/// not-run and unjournaled, so a resume re-runs it and reproduces the
+/// uninterrupted batch bit-for-bit. After the join the summary is replayed
+/// in index order, so the whole outcome is bit-identical for any thread
+/// count. Exceptions (from `measure`, or a bad resume record) propagate
+/// after the join.
+BatchRun run_resumable_batch(
+    std::size_t count, int threads, const support::RunContext* ctx,
+    support::BatchJournal* journal,
+    const std::map<std::size_t, support::PointRecord>* resume,
+    const std::function<ResilientMeasurement(std::size_t)>& measure,
+    const std::function<std::string(std::size_t)>& label);
+
+/// One simulated batch item: measure_ssn_resilient on `spec` with `ctx`
+/// threaded into the transient and, when `opts` leaves the step cap on
+/// auto, dt_max = input rise time / 200 so the adaptive controller always
+/// resolves the input ramp.
+ResilientMeasurement measure_batch_item(
+    const circuit::SsnBenchSpec& spec, MeasureOptions opts,
+    const sim::RecoveryPolicy& policy, const support::RunContext* ctx,
+    const core::SsnScenario* analytic_fallback = nullptr);
 
 }  // namespace ssnkit::analysis

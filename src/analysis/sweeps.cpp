@@ -8,38 +8,10 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace ssnkit::analysis {
-
-namespace {
-
-sim::TransientOptions tuned_transient(const sim::TransientOptions& base,
-                                      double rise_time) {
-  sim::TransientOptions t = base;
-  // Resolve the ramp well regardless of the adaptive controller's mood.
-  if (t.dt_max <= 0.0) t.dt_max = rise_time / 200.0;
-  return t;
-}
-
-/// Measure one sweep point (an item of a run_resumable_batch). In
-/// non-resilient mode a failure throws — the first exception (by completion
-/// order) propagates after the batch joins.
-ResilientMeasurement measure_point(const circuit::SsnBenchSpec& spec,
-                                   const sim::TransientOptions& transient,
-                                   bool resilient,
-                                   const sim::RecoveryPolicy& policy,
-                                   const support::RunContext* ctx) {
-  MeasureOptions mo;
-  mo.transient = transient;
-  mo.transient.run_ctx = ctx;
-  if (resilient) return measure_ssn_resilient(spec, mo, policy);
-  ResilientMeasurement rm;
-  rm.measurement = measure_ssn(spec, mo);
-  return rm;
-}
-
-}  // namespace
 
 std::vector<double> default_capacitance_sweep() {
   // Log sweep 0.1 pF .. 20 pF, 17 points.
@@ -62,42 +34,36 @@ DriverSweepResult run_driver_sweep(const DriverSweepConfig& config,
   DriverSweepResult out;
   out.calibration = calibration;
 
-  const sim::TransientOptions transient =
-      tuned_transient(config.transient, config.input_rise_time);
-  const std::vector<BatchSlot> points = run_resumable_batch(
+  BatchRun batch = run_resumable_batch(
       config.driver_counts.size(), config.threads, config.run_ctx,
-      config.journal, config.resume, [&](std::size_t i) {
-        circuit::SsnBenchSpec spec = make_bench_spec(
-            out.calibration, config.package, config.driver_counts[i],
-            config.input_rise_time, config.include_package_c);
-        spec.include_pullup = config.include_pullup;
-        return measure_point(spec, transient, config.resilient,
-                             config.recovery, config.run_ctx);
+      config.journal, config.resume,
+      [&](std::size_t i) {
+        return measure_batch_item(
+            make_bench_spec(out.calibration, config.package,
+                            config.driver_counts[i], config.input_rise_time,
+                            config.include_package_c),
+            {.transient = config.transient}, config.recovery, config.run_ctx);
+      },
+      [&](std::size_t i) {
+        return "n=" + std::to_string(config.driver_counts[i]);
       });
+  out.summary = std::move(batch.summary);
+  out.resumed = batch.resumed;
 
   for (std::size_t i = 0; i < config.driver_counts.size(); ++i) {
-    const int n = config.driver_counts[i];
-    const BatchSlot& pt = points[i];
+    const BatchSlot& pt = batch.slots[i];
+    if (!pt.ok()) continue;
     DriverSweepRow row;
-    row.n = n;
-    if (!pt.attempted) {
-      ++out.summary.not_run;
-      continue;
-    }
-    if (pt.resumed) ++out.resumed;
-    if (config.resilient)
-      out.summary.record("n=" + std::to_string(n), pt.result.fidelity,
-                         pt.result.error);
-    if (!pt.result.ok()) continue;
+    row.n = config.driver_counts[i];
     row.sim = pt.result.measurement.v_max;
     row.fidelity = pt.result.fidelity;
 
     row.this_work = predict_vmax(make_scenario(out.calibration, config.package,
-                                               n, config.input_rise_time,
+                                               row.n, config.input_rise_time,
                                                config.include_package_c));
 
     const core::BaselineInputs base = make_baseline_inputs(
-        out.calibration, config.package, n, config.input_rise_time);
+        out.calibration, config.package, row.n, config.input_rise_time);
     row.vemuru = core::vemuru_vmax(base);
     row.song = core::song_vmax(base);
     row.senthinathan = core::senthinathan_prince_vmax(base);
@@ -108,8 +74,6 @@ DriverSweepResult run_driver_sweep(const DriverSweepConfig& config,
     row.err_senthinathan = numeric::relative_error(row.senthinathan, row.sim);
     out.rows.push_back(row);
   }
-  if (out.summary.not_run > 0 && config.run_ctx != nullptr)
-    out.summary.stop = config.run_ctx->stop_reason();
   return out;
 }
 
@@ -120,48 +84,40 @@ CapacitanceSweepResult run_capacitance_sweep(const CapacitanceSweepConfig& confi
   std::vector<double> cs = config.capacitances;
   if (cs.empty()) cs = default_capacitance_sweep();
 
-  const sim::TransientOptions transient =
-      tuned_transient(config.transient, config.input_rise_time);
-
   const core::SsnScenario base_scenario =
       make_scenario(out.calibration, config.package, config.n_drivers,
                     config.input_rise_time, /*include_c=*/false);
   out.critical_capacitance = base_scenario.critical_capacitance();
   const double l_only_vmax = core::LOnlyModel(base_scenario).v_max();
 
-  const std::vector<BatchSlot> points = run_resumable_batch(
+  BatchRun batch = run_resumable_batch(
       cs.size(), config.threads, config.run_ctx, config.journal,
-      config.resume, [&](std::size_t i) {
+      config.resume,
+      [&](std::size_t i) {
         process::Package pkg = config.package;
         pkg.capacitance = cs[i];
-        circuit::SsnBenchSpec spec =
+        return measure_batch_item(
             make_bench_spec(out.calibration, pkg, config.n_drivers,
-                            config.input_rise_time, /*include_c=*/true);
-        spec.include_pullup = config.include_pullup;
-        return measure_point(spec, transient, config.resilient,
-                             config.recovery, config.run_ctx);
+                            config.input_rise_time, /*include_c=*/true),
+            {.transient = config.transient}, config.recovery, config.run_ctx);
+      },
+      [&](std::size_t i) {
+        char label[32];
+        std::snprintf(label, sizeof(label), "c=%.3gF", cs[i]);
+        return std::string(label);
       });
+  out.summary = std::move(batch.summary);
+  out.resumed = batch.resumed;
 
   for (std::size_t i = 0; i < cs.size(); ++i) {
-    const double c = cs[i];
-    const BatchSlot& pt = points[i];
+    const BatchSlot& pt = batch.slots[i];
+    if (!pt.ok()) continue;
     CapacitanceSweepRow row;
-    row.c = c;
-    if (!pt.attempted) {
-      ++out.summary.not_run;
-      continue;
-    }
-    if (pt.resumed) ++out.resumed;
-    if (config.resilient) {
-      char label[32];
-      std::snprintf(label, sizeof(label), "c=%.3gF", c);
-      out.summary.record(label, pt.result.fidelity, pt.result.error);
-    }
-    if (!pt.result.ok()) continue;
+    row.c = cs[i];
     row.sim = pt.result.measurement.v_max;
     row.fidelity = pt.result.fidelity;
 
-    const core::LcModel lc(base_scenario.with_capacitance(c));
+    const core::LcModel lc(base_scenario.with_capacitance(row.c));
     row.lc_model = lc.v_max();
     row.zeta = lc.zeta();
     row.lc_case = lc.max_case();
@@ -171,59 +127,7 @@ CapacitanceSweepResult run_capacitance_sweep(const CapacitanceSweepConfig& confi
     row.err_l_only = numeric::relative_error(row.l_only, row.sim);
     out.rows.push_back(row);
   }
-  if (out.summary.not_run > 0 && config.run_ctx != nullptr)
-    out.summary.stop = config.run_ctx->stop_reason();
   return out;
-}
-
-std::vector<SlopeSweepRow> run_slope_sweep(const Calibration& cal,
-                                           const process::Package& package,
-                                           int n_drivers,
-                                           const std::vector<double>& rise_times,
-                                           bool include_c,
-                                           const sim::TransientOptions& topts,
-                                           BatchSummary* summary, int threads,
-                                           const support::RunContext* run_ctx) {
-  SSN_REQUIRE(!rise_times.empty(), "run_slope_sweep: no rise times");
-  std::vector<SlopeSweepRow> rows;
-
-  const std::vector<BatchSlot> points = run_resumable_batch(
-      rise_times.size(), threads, run_ctx, nullptr, nullptr,
-      [&](std::size_t i) {
-        const double tr = rise_times[i];
-        return measure_point(make_bench_spec(cal, package, n_drivers, tr,
-                                             include_c),
-                             tuned_transient(topts, tr),
-                             /*resilient=*/summary != nullptr, {}, run_ctx);
-      });
-
-  for (std::size_t i = 0; i < rise_times.size(); ++i) {
-    const double tr = rise_times[i];
-    const BatchSlot& pt = points[i];
-    SlopeSweepRow row;
-    row.rise_time = tr;
-    row.slope = cal.tech.vdd / tr;
-    if (!pt.attempted) {
-      if (summary) ++summary->not_run;
-      continue;
-    }
-    if (summary) {
-      char label[32];
-      std::snprintf(label, sizeof(label), "tr=%.3gs", tr);
-      summary->record(label, pt.result.fidelity, pt.result.error);
-    }
-    if (!pt.result.ok()) continue;
-    row.sim = pt.result.measurement.v_max;
-    row.fidelity = pt.result.fidelity;
-
-    row.model =
-        predict_vmax(make_scenario(cal, package, n_drivers, tr, include_c));
-    row.err = numeric::relative_error(row.model, row.sim);
-    rows.push_back(row);
-  }
-  if (summary != nullptr && summary->not_run > 0 && run_ctx != nullptr)
-    summary->stop = run_ctx->stop_reason();
-  return rows;
 }
 
 std::vector<BetaPoint> beta_equivalence_points(const Calibration& cal,

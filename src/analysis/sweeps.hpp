@@ -1,6 +1,7 @@
 // Parameter sweeps that regenerate the paper's evaluation figures: driver
-// count (Fig. 3), pad capacitance (Fig. 4), plus slope/inductance sweeps
-// and the beta-equivalence check used by the extension benches.
+// count (Fig. 3) and pad capacitance (Fig. 4), plus the beta-equivalence
+// check used by the extension benches. Each simulated point is one item of
+// run_resumable_batch (analysis/resilience.hpp) under the recovery ladder.
 #pragma once
 
 #include "analysis/calibrate.hpp"
@@ -26,12 +27,9 @@ struct DriverSweepConfig {
   double input_rise_time = 0.1e-9;
   std::vector<int> driver_counts = {1, 2, 4, 6, 8, 10, 12, 14, 16};
   bool include_package_c = false;  ///< Fig. 3 compares L-only models
-  bool include_pullup = true;
   sim::TransientOptions transient;
-  /// When set, a failing simulation point climbs the recovery ladder and a
-  /// still-failing point is skipped (and reported in the summary) instead of
-  /// aborting the whole sweep.
-  bool resilient = true;
+  /// A failing point climbs this recovery ladder; a still-failing point is
+  /// skipped (and reported in the summary) instead of aborting the sweep.
   sim::RecoveryPolicy recovery;
   /// Worker threads for the simulation points: 1 = serial (default), 0 =
   /// auto. Points write index-addressed slots and the summary/rows are
@@ -90,10 +88,8 @@ struct CapacitanceSweepConfig {
   int n_drivers = 8;
   double input_rise_time = 0.1e-9;
   std::vector<double> capacitances;  ///< [F]; empty = log sweep 0.1..20 pF
-  bool include_pullup = true;
   sim::TransientOptions transient;
-  bool resilient = true;  ///< see DriverSweepConfig::resilient
-  sim::RecoveryPolicy recovery;
+  sim::RecoveryPolicy recovery;  ///< see DriverSweepConfig::recovery
   int threads = 1;  ///< see DriverSweepConfig::threads
   /// Lifecycle / checkpoint knobs; see DriverSweepConfig. Not owned.
   const support::RunContext* run_ctx = nullptr;
@@ -130,31 +126,6 @@ CapacitanceSweepResult run_capacitance_sweep(const CapacitanceSweepConfig& confi
 std::vector<double> default_capacitance_sweep();
 
 // --- extensions --------------------------------------------------------------
-
-/// Max SSN vs input slope at fixed N, L (model + simulator).
-struct SlopeSweepRow {
-  double rise_time = 0.0;
-  double slope = 0.0;
-  double sim = 0.0;
-  double model = 0.0;
-  double err = 0.0;
-  sim::Fidelity fidelity = sim::Fidelity::kFullDevice;
-};
-/// When `summary` is non-null the sweep runs resiliently: failing points are
-/// skipped and accounted there instead of throwing. `threads` follows
-/// DriverSweepConfig::threads (1 = serial, 0 = auto; bit-identical output
-/// for any value). `run_ctx`, when set, lets the sweep be cancelled /
-/// deadlined cooperatively (stopped points are not-run in `summary`).
-std::vector<SlopeSweepRow> run_slope_sweep(const Calibration& cal,
-                                           const process::Package& package,
-                                           int n_drivers,
-                                           const std::vector<double>& rise_times,
-                                           bool include_c,
-                                           const sim::TransientOptions& topts = {},
-                                           BatchSummary* summary = nullptr,
-                                           int threads = 1,
-                                           const support::RunContext* run_ctx =
-                                               nullptr);
 
 /// The paper's beta-equivalence claim (Eqn 9/10): configurations with equal
 /// beta = N*L*S have equal predicted V_max. For each driver count in `ns`

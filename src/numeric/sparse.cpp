@@ -4,8 +4,6 @@
 #include "support/diagnostics.hpp"
 #include "support/faultinject.hpp"
 
-#include "numeric/lu.hpp"
-
 #include <algorithm>
 #include <cmath>
 #include <cstring>
@@ -274,17 +272,6 @@ Vector SparseLu::solve(const Vector& b) const {
       y[u_rows_[jj][q]] -= u_vals_[jj][q] * yj;
   }
   return y;
-}
-
-Vector solve_linear_auto(const Matrix& a, const Vector& b,
-                         std::size_t sparse_threshold) {
-  SSN_REQUIRE(a.rows() == b.size(), "solve_linear_auto: shape mismatch");
-  if (a.rows() > sparse_threshold) {
-    SparseLu lu(SparseMatrix::from_dense(a));
-    if (!lu.singular()) return lu.solve(b);
-    // Fall through: let the dense path produce the canonical error.
-  }
-  return LuFactorization(a).solve(b);
 }
 
 // --- StampedMatrix -----------------------------------------------------------

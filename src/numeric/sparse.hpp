@@ -7,8 +7,9 @@
 // into a reusable CSR workspace) and SparseFactor (symbolic analysis and
 // pivot order computed once, numeric-only refactorization per iteration).
 //
-// SparseMatrix/SparseLu are the original one-shot triplet/CSR classes,
-// kept for tests and callers that factor a matrix once.
+// SparseMatrix/SparseLu are one-shot triplet/CSR classes that the Newton
+// solver does not use: they are SparseFactor's test oracle and the
+// factor-once control of bench_perf's assembly benchmark.
 #pragma once
 
 #include "numeric/matrix.hpp"
@@ -89,11 +90,6 @@ class SparseLu {
   std::vector<double> u_diag_;
   std::vector<std::size_t> perm_;  // row permutation: PA = LU
 };
-
-/// Dense-or-sparse dispatch: uses SparseLu when the system is larger than
-/// `sparse_threshold` unknowns, dense LU otherwise.
-Vector solve_linear_auto(const Matrix& a, const Vector& b,
-                         std::size_t sparse_threshold = 48);
 
 /// Fixed-pattern CSR matrix for repeated assembly ("stamp plan" + value
 /// workspace). Two modes:

@@ -30,8 +30,9 @@ namespace {
 /// memory is really committed). Under the worker's RLIMIT_AS cap the burst
 /// throws bad_alloc well before its bound; the throw happens outside any
 /// handler in this translation unit, so it escapes worker_main, hits
-/// std::terminate, and kills the process with SIGABRT — an OOM death the
-/// supervisor observes via waitpid, exactly like a real one. Without an
+/// std::terminate at spawn_child's noexcept boundary, and kills the process
+/// with SIGABRT — an OOM death the supervisor observes via waitpid, exactly
+/// like a real one. Without an
 /// address-space cap the burst completes, frees, and the request proceeds.
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
 #define SSNKIT_SANITIZER_BUILD 1

@@ -69,6 +69,15 @@ void configure_child(const ChildLimits& limits) {
   }
 }
 
+// noexcept is the child's outermost frame: an exception escaping
+// child_main (worker-oom's bad_alloc) ends here in std::terminate, i.e.
+// SIGABRT, instead of unwinding into the forked copy of the parent's stack
+// and running the parent's handlers and destructors in the child.
+int run_child_main(const std::function<int(int fd)>& child_main,
+                   int fd) noexcept {
+  return child_main(fd);
+}
+
 }  // namespace
 
 bool spawn_child(const std::function<int(int fd)>& child_main,
@@ -89,7 +98,7 @@ bool spawn_child(const std::function<int(int fd)>& child_main,
   if (pid == 0) {
     ::close(fds[0]);
     configure_child(limits);
-    const int rc = child_main(fds[1]);
+    const int rc = run_child_main(child_main, fds[1]);
     // _exit, not exit: the child must not flush the parent's inherited
     // stdio buffers or run its atexit handlers.
     ::_exit(rc);

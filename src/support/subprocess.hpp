@@ -12,7 +12,8 @@
 //
 //   - The child runs `child_main(fd)` and then _exits; it never returns
 //     into the parent's call stack, never runs the parent's destructors or
-//     atexit handlers, and resets SIGINT/SIGTERM so a terminal Ctrl-C (sent
+//     atexit handlers (an exception escaping child_main ends in
+//     std::terminate — SIGABRT — without unwinding past it), and resets SIGINT/SIGTERM so a terminal Ctrl-C (sent
 //     to the whole foreground process group) is handled by the supervisor,
 //     not by each worker racing it.
 //   - Line IO is poll-driven with caller-owned deadlines: read_line never
@@ -53,7 +54,8 @@ struct ChildLimits {
 /// applies `limits`, resets signal dispositions, closes the parent's end,
 /// runs `child_main(child_fd)`, and _exits with its return value (core
 /// dumps disabled via RLIMIT_CORE=0 — a supervised crash is expected, not
-/// evidence to keep). Returns false with `err` set when socketpair or fork
+/// evidence to keep). An exception escaping `child_main` kills the child
+/// with SIGABRT. Returns false with `err` set when socketpair or fork
 /// fail; the child side never returns.
 bool spawn_child(const std::function<int(int fd)>& child_main,
                  const ChildLimits& limits, ChildProcess& out,

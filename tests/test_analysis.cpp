@@ -177,16 +177,6 @@ TEST(Sweeps, CapacitanceSweepShapeMatchesFig4) {
   }
 }
 
-TEST(Sweeps, SlopeSweepModelTracksSim) {
-  const auto rows = analysis::run_slope_sweep(
-      cal180(), process::package_pga(), 8, {0.05e-9, 0.1e-9, 0.3e-9}, false);
-  ASSERT_EQ(rows.size(), 3u);
-  // Faster edges, more noise.
-  EXPECT_GT(rows[0].sim, rows[1].sim);
-  EXPECT_GT(rows[1].sim, rows[2].sim);
-  for (const auto& r : rows) EXPECT_LT(r.err, 0.12);
-}
-
 TEST(Sweeps, BetaEquivalence) {
   const auto pts = analysis::beta_equivalence_points(
       cal180(), 8.0 * 5e-9 * 1.8e10, {1, 2, 4, 8, 16}, 0.1e-9);

@@ -61,7 +61,9 @@ void expect_equivalent(const circuit::SsnBenchSpec& spec,
       << " V";
   EXPECT_EQ(collapsed.fidelity, reference.fidelity);
   // The collapse really happened: fewer groups means fewer nodes.
-  if (groups.size() < expanded.size()) EXPECT_LT(collapsed.nodes, reference.nodes);
+  if (groups.size() < expanded.size()) {
+    EXPECT_LT(collapsed.nodes, reference.nodes);
+  }
 }
 
 circuit::SsnBenchSpec base_spec(process::GoldenKind golden, int n,

@@ -24,6 +24,7 @@
 #include <csignal>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <random>
 #include <sstream>
 #include <string>
@@ -273,7 +274,9 @@ TEST(Lifecycle, StoppedSampleIsNotDegradedToAnalytic) {
 // --- journal primitives -----------------------------------------------------
 
 TEST(Lifecycle, DoubleBitsRoundTripIsExact) {
-  for (const double v : {0.0, -0.0, 1.0, -1.5, 0.1, 1e-300, 1.8e308}) {
+  for (const double v : {0.0, -0.0, 1.0, -1.5, 0.1, 1e-300,
+                         std::numeric_limits<double>::max(),
+                         std::numeric_limits<double>::infinity()}) {
     EXPECT_EQ(support::double_bits(support::bits_double(
                   support::double_bits(v))),
               support::double_bits(v));

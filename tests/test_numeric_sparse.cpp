@@ -129,10 +129,6 @@ TEST_P(SparseVsDense, RandomSparseSystemsAgree) {
   ASSERT_FALSE(sparse.singular());
   const Vector x_sparse = sparse.solve(b);
   EXPECT_LT((x_dense - x_sparse).norm_inf(), 1e-9);
-
-  // And through the auto-dispatch helper.
-  const Vector x_auto = solve_linear_auto(dense, b, 8);
-  EXPECT_LT((x_dense - x_auto).norm_inf(), 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, SparseVsDense,

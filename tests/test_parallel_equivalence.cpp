@@ -6,7 +6,6 @@
 // after the join — so EXPECT_EQ on doubles is the correct assertion here,
 // not EXPECT_NEAR.
 #include "analysis/montecarlo.hpp"
-#include "analysis/sensitivity.hpp"
 #include "analysis/sweeps.hpp"
 #include "support/faultinject.hpp"
 
@@ -107,19 +106,6 @@ TEST(ParallelEquivalence, DriverSweepIsBitIdentical) {
     EXPECT_EQ(a.rows[i].fidelity, b.rows[i].fidelity);
   }
   EXPECT_EQ(a.summary.notes, b.summary.notes);
-}
-
-TEST(ParallelEquivalence, SensitivitiesAreBitIdentical) {
-  const core::SsnScenario s = nominal_scenario();
-  const auto a = analysis::lc_sensitivities(s, 1e-4, /*threads=*/1);
-  const auto b = analysis::lc_sensitivities(s, 1e-4, /*threads=*/4);
-  EXPECT_EQ(a.wrt_drivers, b.wrt_drivers);
-  EXPECT_EQ(a.wrt_inductance, b.wrt_inductance);
-  EXPECT_EQ(a.wrt_capacitance, b.wrt_capacitance);
-  EXPECT_EQ(a.wrt_slope, b.wrt_slope);
-  EXPECT_EQ(a.wrt_k, b.wrt_k);
-  EXPECT_EQ(a.wrt_lambda, b.wrt_lambda);
-  EXPECT_EQ(a.wrt_vx, b.wrt_vx);
 }
 
 // Under fault injection the per-sample RNG streams (FaultSampleScope) make

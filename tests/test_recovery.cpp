@@ -243,12 +243,4 @@ TEST(ResilientSweep, FailingPointIsSkippedNotFatal) {
   EXPECT_FALSE(result.summary.all_full_fidelity());
 }
 
-TEST(ResilientSweep, NonResilientModeThrows) {
-  analysis::DriverSweepConfig config;
-  config.driver_counts = {1};
-  config.transient.max_steps = 1;
-  config.resilient = false;
-  EXPECT_THROW(analysis::run_driver_sweep(config), std::runtime_error);
-}
-
 }  // namespace

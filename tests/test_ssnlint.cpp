@@ -493,6 +493,24 @@ TEST(SsnlintL013, FlagsChainedTemporaryAccess) {
                 "SSN-L013"), 1);
 }
 
+TEST(SsnlintL013, CapacitanceSweepIsAResultProducer) {
+  // Its BatchSummary carries degraded/failed points and the stop reason,
+  // exactly like run_driver_sweep's.
+  EXPECT_EQ(count_rule(
+                lint("void f(const Config& c) {\n"
+                     "  const auto result = analysis::run_capacitance_sweep(c);\n"
+                     "  for (const auto& r : result.rows) use(r.sim);\n"
+                     "}\n"),
+                "SSN-L013"), 1);
+  EXPECT_EQ(count_rule(
+                lint("void f(const Config& c) {\n"
+                     "  const auto result = analysis::run_capacitance_sweep(c);\n"
+                     "  for (const auto& r : result.rows) use(r.sim);\n"
+                     "  if (!result.summary.all_full_fidelity()) warn();\n"
+                     "}\n"),
+                "SSN-L013"), 0);
+}
+
 TEST(SsnlintL013, FlagsNamedResultWithOnlyValueReads) {
   EXPECT_EQ(count_rule(
                 lint("double f(int s) {\n"

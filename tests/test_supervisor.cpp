@@ -1,8 +1,9 @@
 // The serve supervisor (--isolate=process): the respawn-backoff schedule,
 // crash-correlation quarantine bookkeeping, the worker wire round trip
 // (render_request / split_response_line), the deterministic shed-retry
-// jitter, and — on POSIX — the live containment guarantees: a SIGKILLed
-// worker degrades exactly its own request (SSN-E069), a drain stays bounded
+// jitter, and — on POSIX — the live containment guarantees: an exception
+// escaping a child's main ends it by SIGABRT, a SIGKILLed worker degrades
+// exactly its own request (SSN-E069), a drain stays bounded
 // even when the in-flight worker is a non-cooperative hang, and (under the
 // fault-injection preset) the watchdog and quarantine close the loop with
 // SSN-E068/E070. See docs/SERVING.md's process-isolation section.
@@ -10,10 +11,12 @@
 #include "serve/server.hpp"
 #include "serve/supervisor.hpp"
 #include "support/faultinject.hpp"
+#include "support/subprocess.hpp"
 
 #if !defined(_WIN32)
 #include <csignal>
 #include <sys/types.h>
+#include <unistd.h>
 #endif
 
 #include <gtest/gtest.h>
@@ -21,9 +24,11 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -221,6 +226,27 @@ TEST(SupervisorJitter, DeterministicAndSpreadOverHalfToThreeHalves) {
 #if !defined(_WIN32)
 
 // --- live process isolation --------------------------------------------------
+
+TEST(SupervisorProcess, ExceptionEscapingChildMainEndsInSigabrt) {
+  support::ChildProcess child;
+  std::string err;
+  bool spawned = false;
+  try {
+    spawned = support::spawn_child(
+        [](int) -> int { throw std::runtime_error("escapes child_main"); },
+        {}, child, err);
+  } catch (...) {
+    // Only a child whose exception unwound out of spawn_child lands here;
+    // leave before it runs the rest of the suite as a copy of this binary.
+    std::_Exit(3);
+  }
+  ASSERT_TRUE(spawned) << err;
+  ::close(child.fd);
+  support::ExitStatus status;
+  ASSERT_TRUE(support::wait_child(child.pid, status, /*block=*/true));
+  EXPECT_FALSE(status.exited) << support::describe_exit(status);
+  EXPECT_EQ(status.sig, SIGABRT) << support::describe_exit(status);
+}
 
 TEST(SupervisorProcess, ComputesAndCachesAcrossTheProcessBoundary) {
   serve::Server server(process_config(2));
