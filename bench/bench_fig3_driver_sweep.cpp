@@ -23,7 +23,7 @@ void run_for(const process::Technology& tech) {
   analysis::DriverSweepConfig config;
   config.tech = tech;
   config.driver_counts = {1, 2, 4, 6, 8, 10, 12, 14, 16};
-  const auto result = analysis::run_driver_sweep(config);  // ssnlint-ignore(SSN-L013)
+  const auto result = analysis::run_driver_sweep(config);
 
   io::TextTable table({"N", "sim [V]", "this work [V]", "err%", "Vemuru [V]",
                        "err%", "Song [V]", "err%", "Senthinathan [V]", "err%"});
@@ -47,6 +47,13 @@ void run_for(const process::Technology& tech) {
     y_song.push_back(r.song);
   }
   std::printf("%s", table.to_string().c_str());
+  // Failed points are missing from the table and the means; rows that miss
+  // the paper's 3 % bar are named in the trust line. Say so, as `ssnkit
+  // sweep-n` does.
+  if (!result.summary.all_full_fidelity())
+    std::printf("# resilience: %s\n", result.summary.to_string().c_str());
+  if (result.trust.verdict != verify::Verdict::kVerified)
+    std::printf("# trust: %s\n", result.trust.summary().c_str());
 
   const double n = double(result.rows.size());
   std::printf("\nmean |error| vs simulator:  this work %.2f %%   "

@@ -61,9 +61,12 @@ void run_for(const process::Package& package, const char* label,
   }
   std::printf("%s", table.to_string().c_str());
   // Degraded or failed points are missing from (or approximate in) the
-  // table; say so, as `ssnkit sweep-c` does.
+  // table, and rows that miss the 3 % bar are named in the trust line; say
+  // so, as `ssnkit sweep-c` does.
   if (!result.summary.all_full_fidelity())
     std::printf("# resilience: %s\n", result.summary.to_string().c_str());
+  if (result.trust.verdict != verify::Verdict::kVerified)
+    std::printf("# trust: %s\n", result.trust.summary().c_str());
 
   std::printf("\nLC-model worst error over the sweep: %.2f %% "
               "(paper claims < 3 %% on their testbed)\n",

@@ -2,7 +2,8 @@
 # Interrupt-resume smoke test for the job lifecycle layer, mirroring what a
 # user actually does: start a journaled simulator-backed Monte Carlo batch,
 # SIGTERM it mid-flight, resume from the journal, and require the resumed
-# run's CSV to be byte-identical to an uninterrupted run's.
+# run's CSV, completed journal and printed trust / resilience lines to be
+# byte-identical to an uninterrupted run's.
 #
 # Exit codes from the CLI under test: 0 = complete, 75 = interrupted with
 # partial results flushed (anything else is a failure here). The SIGTERM may
@@ -68,4 +69,14 @@ if ! cmp -s "$WORK/clean.journal" "$WORK/part.journal"; then
   diff "$WORK/clean.journal" "$WORK/part.journal" >&2 || true
   exit 1
 fi
+# The batch verdict and the fidelity summary (with its per-sample notes)
+# are replayed from journaled fields, so they must not depend on which
+# samples were restored.
+health() { grep -E '^(trust|resilience): |^  ' "$1" || true; }
+if [ "$(health "$WORK/clean.log")" != "$(health "$WORK/resumed.log")" ]; then
+  echo "resume_smoke: resumed trust/resilience lines differ from the clean run's" >&2
+  diff <(health "$WORK/clean.log") <(health "$WORK/resumed.log") >&2 || true
+  exit 1
+fi
+health "$WORK/resumed.log"
 echo "resume_smoke: PASS (resumed output bit-identical to the clean run)"

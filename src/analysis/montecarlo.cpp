@@ -181,18 +181,18 @@ SimMonteCarloResult monte_carlo_vmax_sim(const Calibration& cal,
             make_scenario(cal, pkg, n_drivers, tr, include_c);
         scenario.device.k *= s.width_factor;
 
-        return measure_batch_item(
-            spec, opts.measure, opts.recovery, opts.run_ctx,
-            opts.analytic_fallback ? &scenario : nullptr);
+        return measure_point(spec, scenario, opts.analytic_fallback,
+                             opts.measure, opts.recovery, opts.run_ctx);
       },
       [](std::size_t i) { return "sample=" + std::to_string(i); });
   out.completed = batch.summary.total;
   out.resumed = batch.resumed;
   out.stop = batch.summary.stop;
   out.summary = std::move(batch.summary);
+  out.trust = std::move(batch.trust);
 
-  // The survivors, in index order, so their statistics and merged trust
-  // come out identical for any thread count and after a resume.
+  // The survivors, in index order, so their statistics come out identical
+  // for any thread count and after a resume.
   std::vector<double> survivors;
   survivors.reserve(out.samples.size());
   for (SimMcSample& s : out.samples) {
@@ -205,13 +205,6 @@ SimMonteCarloResult monte_carlo_vmax_sim(const Calibration& cal,
     s.resumed = slot.resumed;
     if (!rm.ok()) continue;
     s.v_max = rm.measurement.v_max;
-    // Fold the sample's trust into the batch report: the first survivor
-    // seeds it (the default-constructed report says kUnverified, which
-    // merge() could never improve on), the rest merge worst-wins.
-    if (survivors.empty())
-      out.trust = rm.measurement.trust;
-    else
-      out.trust.merge(rm.measurement.trust);
     survivors.push_back(s.v_max);
   }
 

@@ -155,8 +155,10 @@ struct SimMonteCarloResult {
   /// 95 % confidence-interval half-width on `mean` over the survivors.
   double ci95 = 0.0;
   BatchSummary summary;
-  /// Merged trust over the surviving samples (worst verdict wins) with
-  /// `ci95` mirrored into the statistical-confidence slot.
+  /// The samples' verdicts merged (BatchRun::trust: worst wins, a failed
+  /// sample degrades) with `ci95` mirrored into the statistical-confidence
+  /// slot. Each sample is one measure_point, so it carries the same checks
+  /// as `estimate --verify`.
   verify::TrustReport trust;
 };
 

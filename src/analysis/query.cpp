@@ -1,13 +1,9 @@
 #include "analysis/query.hpp"
 
+#include "analysis/design.hpp"
 #include "analysis/resilience.hpp"
 #include "circuit/testbench.hpp"
-#include "core/l_only_model.hpp"
-#include "core/lc_model.hpp"
-#include "verify/physics.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace ssnkit::analysis {
@@ -61,45 +57,17 @@ std::vector<int> driver_count_ladder(int max_n) {
 
 namespace {
 
-/// The closed-form max SSN and its self-check: the Table 1 / Eqn 7 peak
-/// formula and a sampled waveform of the same model must agree on the
-/// maximum. A disagreement means the damping case was mis-selected (or a
-/// formula was evaluated outside its validity region); it downgrades trust
-/// instead of reporting a confidently wrong number. The 5 % bar leaves room
-/// for the sampling resolution of the waveform's peak.
-template <class Model>
-void closed_form(const Model& model, QueryResult& r) {
-  r.v_model = model.v_max();
-  const double sampled = model.vn_waveform(1024)
-                             .maximum_in(0.0, r.scenario.t_ramp_end())
-                             .value;
-  const double scale = std::max(std::abs(r.v_model), std::abs(sampled));
-  if (!(scale > 0.0)) return;
-  if (!(std::abs(r.v_model - sampled) <= 0.05 * scale)) {
-    r.trust.downgrade(verify::Verdict::kDegraded);
-    r.trust.note(
-        "SSN-W073: closed-form v_max disagrees with its own sampled "
-        "waveform maximum (mis-selected damping case?)");
-  }
-}
-
 void run_estimate(const Query& q, const Calibration& cal,
                   const QueryExec& exec, QueryResult& r) {
-  // The closed form starts verified-by-self-check; a simulator verify
-  // merges the engine's report and the model-vs-simulator cross-check on
-  // top.
-  r.trust.verdict = verify::Verdict::kVerified;
-  if (r.with_c)
-    closed_form(core::LcModel(r.scenario), r);
-  else
-    closed_form(core::LOnlyModel(r.scenario), r);
-  if (!q.sim) return;
-
-  MeasureOptions opts;
-  opts.transient.run_ctx = exec.run_ctx;
-  ResilientMeasurement m = measure_ssn_resilient(
+  if (!q.sim) {
+    r.trust.verdict = verify::Verdict::kVerified;
+    r.v_model = checked_closed_form(r.scenario, r.trust);
+    return;
+  }
+  ResilientMeasurement m = measure_point(
       make_bench_spec(cal, r.package, q.n_drivers, q.rise_time, r.with_c),
-      opts, {}, &r.scenario);
+      r.scenario, /*analytic_fallback=*/true, {}, {}, exec.run_ctx);
+  r.v_model = predict_vmax(r.scenario);
   // A cancelled/deadlined run must surface as a stop, not as a silent
   // analytic degrade (the resilient driver keeps the stop error set).
   if (m.error && support::is_stop_kind(m.error->kind())) {
@@ -113,10 +81,7 @@ void run_estimate(const Query& q, const Calibration& cal,
     throw support::SolverError(support::SolverErrorKind::kHomotopyExhausted,
                                "simulation failed with no diagnostic");
   }
-  // The engine's solve/physics verdict, then the paper's 3 % bar between
-  // the closed form and the simulator (SSN-W074 on disagreement).
-  r.trust.merge(m.measurement.trust);
-  verify::cross_check_closed_form(r.v_model, m.measurement.v_max, r.trust);
+  r.trust = m.measurement.trust;
   r.fidelity = m.fidelity;
   r.simulated = std::move(m.measurement);
 }
@@ -145,20 +110,8 @@ void run_sweep_n(const Query& q, const Calibration& cal,
   config.journal = exec.journal;
   config.resume = exec.resume;
   r.sweep = run_driver_sweep(config, cal);
-  const BatchSummary& summary = r.sweep.summary;
-  r.stop = summary.stop;
-  // Sweep-level trust from the per-row fidelities: analytic rows carry no
-  // independent verification, failed rows poison the comparison table.
-  r.trust.verdict = verify::Verdict::kVerified;
-  if (summary.analytic > 0) {
-    r.trust.downgrade(verify::Verdict::kUnverified);
-    r.trust.note(std::to_string(summary.analytic) +
-                 " row(s) degraded to the closed-form model");
-  }
-  if (summary.failed > 0) {
-    r.trust.downgrade(verify::Verdict::kDegraded);
-    r.trust.note(std::to_string(summary.failed) + " row(s) failed outright");
-  }
+  r.stop = r.sweep.summary.stop;
+  r.trust = r.sweep.trust;
 }
 
 }  // namespace

@@ -87,9 +87,9 @@ struct QueryResult {
   sim::Fidelity fidelity = sim::Fidelity::kFullDevice;  ///< of `simulated`
   MonteCarloResult mc;         ///< mc
   DriverSweepResult sweep;     ///< sweep-n
-  /// estimate: the closed-form self-check, then (sim) the engine's report
-  /// and the 3 % cross-check; mc: its confidence interval; sweep-n: the
-  /// per-row fidelities.
+  /// estimate: the closed-form self-check, then (sim) the rest of
+  /// measure_point's checks; mc: its confidence interval; sweep-n: the
+  /// rows' verdicts merged (DriverSweepResult::trust).
   verify::TrustReport trust;
   /// kNone unless stopped early: mc / sweep-n keep what finished, an
   /// estimate's numbers are partial.

@@ -6,6 +6,7 @@
 #include "support/parallel.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
@@ -49,10 +50,6 @@ ResilientMeasurement measure_ssn_resilient(
   out.attempts = std::move(run.attempts);
   if (run.ok()) {
     out.measurement = extract_measurement(bench, run.result);
-    // Physics invariants need the calibrated scenario; the analytic
-    // fallback parameter is exactly that when the caller supplied one.
-    if (analytic_fallback != nullptr)
-      verify_measurement(out.measurement, *analytic_fallback);
     return out;
   }
 
@@ -144,9 +141,14 @@ BatchRun run_resumable_batch(
       },
       ctx);
 
-  // Index-order replay: note order and counters come out identical for any
-  // thread count, and identical between a clean run and an interrupt +
-  // resume, because the journal restores exactly the fields read here.
+  // Index-order replay: notes, counters and the batch trust come out
+  // identical for any thread count, and identical between a clean run and
+  // an interrupt + resume, because the journal restores exactly the fields
+  // read here (fidelity, error kind, verdict — never a residual or a note).
+  constexpr std::size_t kNamedItems = 8;  // bounds the trust note's length
+  verify::Verdict worst = verify::Verdict::kVerified;
+  std::size_t not_verified = 0;
+  std::string named;
   for (std::size_t i = 0; i < count; ++i) {
     const BatchSlot& slot = run.slots[i];
     if (!slot.attempted) {
@@ -154,7 +156,27 @@ BatchRun run_resumable_batch(
       continue;
     }
     if (slot.resumed) ++run.resumed;
-    run.summary.record(label(i), slot.result.fidelity, slot.result.error);
+    const std::string item = label(i);
+    run.summary.record(item, slot.result.fidelity, slot.result.error);
+
+    // A failed item has no number to trust: it degrades the batch.
+    const bool ok = slot.result.ok();
+    const verify::Verdict verdict = ok ? slot.result.measurement.trust.verdict
+                                       : verify::Verdict::kDegraded;
+    worst = verify::worse(worst, verdict);
+    if (verdict == verify::Verdict::kVerified || ++not_verified > kNamedItems)
+      continue;
+    if (!named.empty()) named += ", ";
+    named += item + ' ' + (ok ? verify::to_string(verdict) : "failed");
+  }
+  if (run.summary.total > 0) run.trust.verdict = worst;
+  if (not_verified > 0) {
+    std::string note = std::to_string(not_verified) + "/" +
+                       std::to_string(run.summary.total) +
+                       " items not verified: " + named;
+    if (not_verified > kNamedItems)
+      note += ", +" + std::to_string(not_verified - kNamedItems) + " more";
+    run.trust.note(note);
   }
   // Only a stop that cost items is reported: a deadline that expires just
   // after the last item finished did not stop anything.
@@ -163,14 +185,49 @@ BatchRun run_resumable_batch(
   return run;
 }
 
-ResilientMeasurement measure_batch_item(
-    const circuit::SsnBenchSpec& spec, MeasureOptions opts,
-    const sim::RecoveryPolicy& policy, const support::RunContext* ctx,
-    const core::SsnScenario* analytic_fallback) {
-  if (opts.transient.dt_max <= 0.0)
-    opts.transient.dt_max = spec.input_rise_time / 200.0;
+double checked_closed_form(const core::SsnScenario& scenario,
+                           verify::TrustReport& trust) {
+  const auto check = [&](const auto& model) {
+    const double v_max = model.v_max();
+    const double sampled = model.vn_waveform(1024)
+                               .maximum_in(0.0, scenario.t_ramp_end())
+                               .value;
+    // The 5 % bar leaves room for the sampling resolution of the peak.
+    const double scale = std::max(std::abs(v_max), std::abs(sampled));
+    if (scale > 0.0 && !(std::abs(v_max - sampled) <= 0.05 * scale)) {
+      trust.downgrade(verify::Verdict::kDegraded);
+      trust.note(
+          "SSN-W073: closed-form v_max disagrees with its own sampled "
+          "waveform maximum (mis-selected damping case?)");
+    }
+    return v_max;
+  };
+  if (scenario.capacitance > 0.0) return check(core::LcModel(scenario));
+  return check(core::LOnlyModel(scenario));
+}
+
+ResilientMeasurement measure_point(const circuit::SsnBenchSpec& spec,
+                                   const core::SsnScenario& scenario,
+                                   bool analytic_fallback, MeasureOptions opts,
+                                   const sim::RecoveryPolicy& policy,
+                                   const support::RunContext* ctx) {
   opts.transient.run_ctx = ctx;
-  return measure_ssn_resilient(spec, opts, policy, analytic_fallback);
+  ResilientMeasurement rm = measure_ssn_resilient(
+      spec, opts, policy, analytic_fallback ? &scenario : nullptr);
+  if (!rm.ok()) return rm;  // stopped or failed: nothing to check
+
+  // The closed form starts verified-by-self-check; the engine's report and
+  // the physics invariants of a simulated point merge on top, then the
+  // paper's 3 % bar between the closed form and the measured V_max.
+  verify::TrustReport trust;
+  trust.verdict = verify::Verdict::kVerified;
+  const double v_model = checked_closed_form(scenario, trust);
+  if (rm.fidelity != sim::Fidelity::kAnalytic)
+    verify_measurement(rm.measurement, scenario);
+  trust.merge(rm.measurement.trust);
+  verify::cross_check_closed_form(v_model, rm.measurement.v_max, trust);
+  rm.measurement.trust = std::move(trust);
+  return rm;
 }
 
 void BatchSummary::record(const std::string& label, sim::Fidelity fidelity,

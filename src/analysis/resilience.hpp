@@ -2,9 +2,11 @@
 // ladder. The engine-level rungs (sim/recovery.hpp) retry the transient with
 // progressively cheaper numerics; this layer adds the final rung the engine
 // cannot reach — degrading to the paper's closed-form LC / L-only models,
-// which need the calibrated SsnScenario known only here — and the batch
-// bookkeeping (per-fidelity / per-failure summaries) that sweeps and Monte
-// Carlo runs report.
+// which need the calibrated SsnScenario known only here — the one way src
+// simulates an SSN point (measure_point: simulation, physics invariants,
+// closed-form self-check and the 3 % cross-check), and the batch
+// bookkeeping (per-fidelity / per-failure summaries and the batch trust
+// verdict) that sweeps and Monte Carlo runs report.
 #pragma once
 
 #include "analysis/measure.hpp"
@@ -42,6 +44,7 @@ struct ResilientMeasurement {
 /// failure. When `analytic_fallback` is non-null and every simulation rung
 /// fails, the measurement is evaluated on the closed forms (LcModel when the
 /// scenario carries capacitance, LOnlyModel otherwise) and tagged kAnalytic.
+/// The trust report is the engine's alone; measure_point adds the checks.
 ResilientMeasurement measure_ssn_resilient(
     const circuit::SsnBenchSpec& spec, const MeasureOptions& opts = {},
     const sim::RecoveryPolicy& policy = {},
@@ -109,6 +112,11 @@ struct BatchRun {
   /// unrun are counted in `not_run`, and only then is `stop` set.
   BatchSummary summary;
   std::size_t resumed = 0;  ///< items restored from the resume set
+  /// Batch trust replayed from the journaled item verdicts alone: the worst
+  /// item verdict wins, a failed item degrades the batch, and one note of
+  /// bounded length names the items that are not verified. kUnverified
+  /// when no item was attempted.
+  verify::TrustReport trust;
 };
 
 /// The plumbing every simulated batch (sweeps, simulator-backed Monte
@@ -117,10 +125,11 @@ struct BatchRun {
 /// one item of `ctx`'s budget, runs `measure(i)` in its FaultSampleScope
 /// and is journaled as it finishes. An item a stop interrupted stays
 /// not-run and unjournaled, so a resume re-runs it and reproduces the
-/// uninterrupted batch bit-for-bit. After the join the summary is replayed
-/// in index order, so the whole outcome is bit-identical for any thread
-/// count. Exceptions (from `measure`, or a bad resume record) propagate
-/// after the join.
+/// uninterrupted batch bit-for-bit. After the join the summary and the
+/// trust are replayed in index order from journaled fields only, so the
+/// whole outcome is bit-identical for any thread count and after a resume.
+/// Exceptions (from `measure`, or a bad resume record) propagate after the
+/// join.
 BatchRun run_resumable_batch(
     std::size_t count, int threads, const support::RunContext* ctx,
     support::BatchJournal* journal,
@@ -128,13 +137,30 @@ BatchRun run_resumable_batch(
     const std::function<ResilientMeasurement(std::size_t)>& measure,
     const std::function<std::string(std::size_t)>& label);
 
-/// One simulated batch item: measure_ssn_resilient on `spec` with `ctx`
-/// threaded into the transient and, when `opts` leaves the step cap on
-/// auto, dt_max = input rise time / 200 so the adaptive controller always
-/// resolves the input ramp.
-ResilientMeasurement measure_batch_item(
-    const circuit::SsnBenchSpec& spec, MeasureOptions opts,
-    const sim::RecoveryPolicy& policy, const support::RunContext* ctx,
-    const core::SsnScenario* analytic_fallback = nullptr);
+/// The closed-form max SSN of `scenario` (Table 1 when it carries
+/// capacitance, Eqn 7 otherwise) and its self-check: the peak formula and
+/// a sampled waveform of the same model must agree on the maximum. A
+/// disagreement means the damping case was mis-selected (or a formula was
+/// evaluated outside its validity region); it downgrades `trust` with
+/// SSN-W073 instead of reporting a confidently wrong number.
+double checked_closed_form(const core::SsnScenario& scenario,
+                           verify::TrustReport& trust);
+
+/// One simulated SSN point — the only way src simulates one. The transient
+/// runs on measure_ssn's window under the recovery ladder with `ctx`
+/// threaded into it. Its trust report holds, in this order: the closed-form
+/// self-check of `scenario`, the engine's solve report, the physics
+/// invariants of the simulated waveforms against `scenario`, and the
+/// paper's 3 % cross-check between closed form and measured V_max
+/// (SSN-W074). `analytic_fallback` lets a point whose every simulation rung
+/// failed degrade to the closed form (kAnalytic, unverified) instead of
+/// failing; a stopped point (cancel / deadline) is returned unchecked with
+/// its stop error.
+ResilientMeasurement measure_point(const circuit::SsnBenchSpec& spec,
+                                   const core::SsnScenario& scenario,
+                                   bool analytic_fallback,
+                                   MeasureOptions opts = {},
+                                   const sim::RecoveryPolicy& policy = {},
+                                   const support::RunContext* ctx = nullptr);
 
 }  // namespace ssnkit::analysis

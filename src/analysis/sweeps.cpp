@@ -33,21 +33,29 @@ DriverSweepResult run_driver_sweep(const DriverSweepConfig& config,
 
   DriverSweepResult out;
   out.calibration = calibration;
+  const auto scenario = [&](std::size_t i) {
+    return make_scenario(out.calibration, config.package,
+                         config.driver_counts[i], config.input_rise_time,
+                         config.include_package_c);
+  };
 
+  // A row's `sim` must come from the simulator, so no analytic rung.
   BatchRun batch = run_resumable_batch(
       config.driver_counts.size(), config.threads, config.run_ctx,
       config.journal, config.resume,
       [&](std::size_t i) {
-        return measure_batch_item(
+        return measure_point(
             make_bench_spec(out.calibration, config.package,
                             config.driver_counts[i], config.input_rise_time,
                             config.include_package_c),
+            scenario(i), /*analytic_fallback=*/false,
             {.transient = config.transient}, config.recovery, config.run_ctx);
       },
       [&](std::size_t i) {
         return "n=" + std::to_string(config.driver_counts[i]);
       });
   out.summary = std::move(batch.summary);
+  out.trust = std::move(batch.trust);
   out.resumed = batch.resumed;
 
   for (std::size_t i = 0; i < config.driver_counts.size(); ++i) {
@@ -58,9 +66,9 @@ DriverSweepResult run_driver_sweep(const DriverSweepConfig& config,
     row.sim = pt.result.measurement.v_max;
     row.fidelity = pt.result.fidelity;
 
-    row.this_work = predict_vmax(make_scenario(out.calibration, config.package,
-                                               row.n, config.input_rise_time,
-                                               config.include_package_c));
+    // A restored row carries no closed form (the journal keeps only what
+    // the replay reads), so every row evaluates it here.
+    row.this_work = predict_vmax(scenario(i));
 
     const core::BaselineInputs base = make_baseline_inputs(
         out.calibration, config.package, row.n, config.input_rise_time);
@@ -96,9 +104,10 @@ CapacitanceSweepResult run_capacitance_sweep(const CapacitanceSweepConfig& confi
       [&](std::size_t i) {
         process::Package pkg = config.package;
         pkg.capacitance = cs[i];
-        return measure_batch_item(
+        return measure_point(
             make_bench_spec(out.calibration, pkg, config.n_drivers,
                             config.input_rise_time, /*include_c=*/true),
+            base_scenario.with_capacitance(cs[i]), /*analytic_fallback=*/false,
             {.transient = config.transient}, config.recovery, config.run_ctx);
       },
       [&](std::size_t i) {
@@ -107,6 +116,7 @@ CapacitanceSweepResult run_capacitance_sweep(const CapacitanceSweepConfig& confi
         return std::string(label);
       });
   out.summary = std::move(batch.summary);
+  out.trust = std::move(batch.trust);
   out.resumed = batch.resumed;
 
   for (std::size_t i = 0; i < cs.size(); ++i) {

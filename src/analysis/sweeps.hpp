@@ -1,7 +1,8 @@
 // Parameter sweeps that regenerate the paper's evaluation figures: driver
 // count (Fig. 3) and pad capacitance (Fig. 4), plus the beta-equivalence
-// check used by the extension benches. Each simulated point is one item of
-// run_resumable_batch (analysis/resilience.hpp) under the recovery ladder.
+// check used by the extension benches. Each simulated point is one
+// measure_point (analysis/resilience.hpp) — the same simulation and checks
+// as `estimate --verify` — run as one item of run_resumable_batch.
 #pragma once
 
 #include "analysis/calibrate.hpp"
@@ -69,6 +70,9 @@ struct DriverSweepResult {
   /// in `notes`) rather than as rows. Not-run points (lifecycle stop)
   /// appear only in `summary.not_run`.
   BatchSummary summary;
+  /// The points' verdicts merged (BatchRun::trust): a row that misses the
+  /// paper's 3 % bar between `this_work` and `sim` is named in its note.
+  verify::TrustReport trust;
   /// Points restored from the resume journal rather than simulated here.
   std::size_t resumed = 0;
 };
@@ -114,7 +118,8 @@ struct CapacitanceSweepResult {
   double critical_capacitance = 0.0;
   std::vector<CapacitanceSweepRow> rows;
   BatchSummary summary;
-  std::size_t resumed = 0;  ///< see DriverSweepResult::resumed
+  verify::TrustReport trust;  ///< see DriverSweepResult::trust
+  std::size_t resumed = 0;    ///< see DriverSweepResult::resumed
 };
 
 CapacitanceSweepResult run_capacitance_sweep(const CapacitanceSweepConfig& config);

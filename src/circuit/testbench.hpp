@@ -39,11 +39,13 @@
 
 namespace ssnkit::circuit {
 
-/// Revision of the circuit make_ssn_testbench emits. Bump it whenever the
-/// emitted circuit changes numerically (revision 2: M-factor driver groups),
-/// so persisted results keyed on a bench configuration are not mixed with
-/// numbers from an older builder.
-inline constexpr int kTestbenchRevision = 2;
+/// Revision of the circuit make_ssn_testbench emits and of the rule that
+/// measures it (analysis::measure_point's step rule and checks). Bump it
+/// whenever either changes the numbers or verdicts of a simulated point
+/// (revision 2: M-factor driver groups; 3: one measurement rule and trust
+/// checks for every point), so persisted results keyed on a bench
+/// configuration are not mixed with those of an older build.
+inline constexpr int kTestbenchRevision = 3;
 
 struct SsnBenchSpec {
   process::Technology tech = process::tech_180nm();

@@ -100,6 +100,18 @@ struct Lifecycle {
   }
 };
 
+/// A sweep's health under its table, printed only when something is off:
+/// a point that did not run at full fidelity, and a batch trust that is not
+/// verified (the note names the rows).
+void print_batch_health(std::ostream& os,
+                        const analysis::BatchSummary& summary,
+                        const verify::TrustReport& trust) {
+  if (!summary.all_full_fidelity() || summary.not_run > 0)
+    os << "# resilience: " << summary.to_string() << '\n';
+  if (trust.verdict != verify::Verdict::kVerified)
+    os << "# trust: " << trust.summary() << '\n';
+}
+
 /// Standard epilogue for a batch that may have been stopped early: reports
 /// what was (not) done and maps a stop onto kExitInterrupted. A completed
 /// run returns 0 untouched.
@@ -392,8 +404,7 @@ int cmd_sweep_n(const Args& args, std::ostream& os) {
     }
   };
   csv(os, false);
-  if (!result.summary.all_full_fidelity() || result.summary.not_run > 0)
-    os << "# resilience: " << result.summary.to_string() << '\n';
+  print_batch_health(os, result.summary, result.trust);
   write_artifact(args.get_or("out", ""),
                  [&](std::ostream& o) { csv(o, true); });
   warn_unused(args, os);
@@ -434,8 +445,7 @@ int cmd_sweep_c(const Args& args, std::ostream& os) {
     }
   };
   csv(os, false);
-  if (!result.summary.all_full_fidelity() || result.summary.not_run > 0)
-    os << "# resilience: " << result.summary.to_string() << '\n';
+  print_batch_health(os, result.summary, result.trust);
   write_artifact(args.get_or("out", ""),
                  [&](std::ostream& o) { csv(o, true); });
   warn_unused(args, os);

@@ -8,6 +8,7 @@
 #include "core/lc_model.hpp"
 #include "waveform/metrics.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
@@ -175,6 +176,53 @@ TEST(Sweeps, CapacitanceSweepShapeMatchesFig4) {
     }
     EXPECT_LT(row.err_lc, 0.12) << row.c;
   }
+}
+
+TEST(Sweeps, DefaultStepRuleMatchesAnInputRampCap) {
+  // Sweep rows run on measure_ssn's default window, as `estimate --verify`
+  // does. An explicit step cap of a 200th of the input ramp is the oracle:
+  // over the Fig. 3 grid (three technologies, N 1..16) and the Fig. 4 grid
+  // (both packages) the rows agree within 2e-4 relative.
+  double worst = 0.0;
+  const auto compare = [&](double sim, double capped) {
+    worst = std::max(worst, std::abs(sim - capped) / std::abs(capped));
+  };
+  for (const auto& tech : {process::tech_180nm(), process::tech_250nm(),
+                           process::tech_350nm()}) {
+    analysis::DriverSweepConfig config;
+    config.tech = tech;
+    config.driver_counts.clear();
+    for (int n = 1; n <= 16; ++n) config.driver_counts.push_back(n);
+    auto capped = config;
+    capped.transient.dt_max = config.input_rise_time / 200.0;
+    const auto rows = analysis::run_driver_sweep(config).rows;
+    const auto oracle = analysis::run_driver_sweep(capped).rows;
+    ASSERT_EQ(rows.size(), 16u) << tech.name;
+    ASSERT_EQ(oracle.size(), 16u) << tech.name;
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      compare(rows[i].sim, oracle[i].sim);
+  }
+  for (const auto& package : {process::package_pga(),
+                              process::package_pga().with_ground_pads(2)}) {
+    analysis::CapacitanceSweepConfig config;
+    config.package = package;
+    const double c_crit =
+        make_scenario(cal180(), package, config.n_drivers,
+                      config.input_rise_time, false)
+            .critical_capacitance();
+    for (double mult :
+         {0.05, 0.1, 0.2, 0.4, 0.7, 1.0, 1.5, 2.5, 4.0, 8.0, 16.0})
+      config.capacitances.push_back(c_crit * mult);
+    auto capped = config;
+    capped.transient.dt_max = config.input_rise_time / 200.0;
+    const auto rows = analysis::run_capacitance_sweep(config).rows;
+    const auto oracle = analysis::run_capacitance_sweep(capped).rows;
+    ASSERT_EQ(rows.size(), 11u);
+    ASSERT_EQ(oracle.size(), 11u);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      compare(rows[i].sim, oracle[i].sim);
+  }
+  EXPECT_LE(worst, 2e-4);
 }
 
 TEST(Sweeps, BetaEquivalence) {

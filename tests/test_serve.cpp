@@ -214,16 +214,16 @@ TEST(ServeProtocol, CacheKeyStringIsPinned) {
       R"("deadline":4})");
   ASSERT_TRUE(est.ok) << est.error;
   EXPECT_EQ(serve::cache_key_string(est.request),
-            "serve-v1|bench-r2|estimate|250nm|bsim|qfp|2|3e29c511dc3a41df|"
+            "serve-v1|bench-r3|estimate|250nm|bsim|qfp|2|3e29c511dc3a41df|"
             "bff0000000000000|12|3deb7cdfd9d7bdbb|cs|1000|12345|16");
-  EXPECT_EQ(serve::cache_key(est.request), 0xe1b207c19738a9ceULL);
+  EXPECT_EQ(serve::cache_key(est.request), 0x5a81d3958f21f14fULL);
   const auto mc = parse_request(
       R"({"cmd":"mc","c":0,"include_c":false,"samples":500,"seed":7})");
   ASSERT_TRUE(mc.ok) << mc.error;
   EXPECT_EQ(serve::cache_key_string(mc.request),
-            "serve-v1|bench-r2|mc|180nm|alpha|pga|1|bff0000000000000|"
+            "serve-v1|bench-r3|mc|180nm|alpha|pga|1|bff0000000000000|"
             "0000000000000000|8|3ddb7cdfd9d7bdbb|--|500|7|16");
-  EXPECT_EQ(serve::cache_key(mc.request), 0x556c542928c96b18ULL);
+  EXPECT_EQ(serve::cache_key(mc.request), 0x71d4cc836b8a212fULL);
 }
 
 TEST(ServeProtocol, RendersResponsesAsSingleJsonLines) {

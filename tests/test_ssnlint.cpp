@@ -511,6 +511,30 @@ TEST(SsnlintL013, CapacitanceSweepIsAResultProducer) {
                 "SSN-L013"), 0);
 }
 
+TEST(SsnlintL013, MeasurePointIsAResultProducer) {
+  // A simulated point carries its fidelity, error and trust verdict (the
+  // 3 % cross-check among them), exactly like measure_ssn_resilient's.
+  EXPECT_EQ(count_rule(
+                lint("double f(const Spec& s, const Scenario& c) {\n"
+                     "  return analysis::measure_point(s, c, false)"
+                     ".measurement.v_max;\n"
+                     "}\n"),
+                "SSN-L013"), 1);
+  EXPECT_EQ(count_rule(
+                lint("void f(const Spec& s, const Scenario& c) {\n"
+                     "  const auto rm = analysis::measure_point(s, c, true);\n"
+                     "  use(rm.measurement.v_max);\n"
+                     "}\n"),
+                "SSN-L013"), 1);
+  EXPECT_EQ(count_rule(
+                lint("void f(const Spec& s, const Scenario& c) {\n"
+                     "  const auto rm = analysis::measure_point(s, c, true);\n"
+                     "  if (!rm.ok()) return;\n"
+                     "  use(rm.measurement.v_max);\n"
+                     "}\n"),
+                "SSN-L013"), 0);
+}
+
 TEST(SsnlintL013, FlagsNamedResultWithOnlyValueReads) {
   EXPECT_EQ(count_rule(
                 lint("double f(int s) {\n"

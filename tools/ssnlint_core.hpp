@@ -987,7 +987,8 @@ inline bool is_result_producer(const std::string& name) {
   static const std::set<std::string> kProducers = {
       "run_transient", "run_transient_resilient", "measure_ssn",
       "measure_ssn_resilient", "monte_carlo_vmax", "monte_carlo_vmax_sim",
-      "run_driver_sweep", "run_capacitance_sweep", "run_query"};
+      "run_driver_sweep", "run_capacitance_sweep", "run_query",
+      "measure_point"};
   return kProducers.count(name) != 0;
 }
 
