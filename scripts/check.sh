@@ -7,9 +7,9 @@
 #   --preset NAME  CMake preset to use (default: release)
 #   --all-tidy     clang-tidy every src/ file instead of only changed ones
 #   --lint         build ssnlint and run only the whole-repo scan (timed)
-#   --serve        build the daemon + load generator and run only the
-#                  serve smoke (scripts/serve_smoke.sh: SIGTERM mid-load,
-#                  clean drain, cache warm restart)
+#   --serve        build the daemon and run only the serve smoke
+#                  (scripts/serve_smoke.sh: SIGTERM mid-load, clean drain,
+#                  cache warm restart)
 #   --chaos        build the fault-injection preset and run only the chaos
 #                  soak (scripts/chaos_soak.sh: serve under injected faults
 #                  + SIGTERM/restart, zero false-verified responses)
@@ -70,9 +70,9 @@ fi
 if [ "$SERVE_ONLY" = 1 ]; then
   echo "=== configure ($PRESET) ==="
   cmake --preset "$PRESET" > /dev/null
-  echo "=== build ssnkit + bench_serve ==="
-  cmake --build --preset "$PRESET" -j --target ssnkit_tool bench_serve
-  scripts/serve_smoke.sh "$BUILD_DIR"/tools/ssnkit "$BUILD_DIR"/bench/bench_serve
+  echo "=== build ssnkit ==="
+  cmake --build --preset "$PRESET" -j --target ssnkit_tool
+  scripts/serve_smoke.sh "$BUILD_DIR"/tools/ssnkit
   echo "check.sh: serve smoke passed"
   exit 0
 fi
@@ -107,7 +107,7 @@ if [ "$PRESET" = release ]; then
   echo "=== interrupt-resume smoke ==="
   scripts/resume_smoke.sh "$BUILD_DIR"/tools/ssnkit
   echo "=== serve smoke ==="
-  scripts/serve_smoke.sh "$BUILD_DIR"/tools/ssnkit "$BUILD_DIR"/bench/bench_serve
+  scripts/serve_smoke.sh "$BUILD_DIR"/tools/ssnkit
 fi
 
 echo "=== clang-tidy ==="

@@ -38,11 +38,13 @@ if [ "$LINT" = 1 ]; then
   "$BUILD"/tools/ssnlint src
 fi
 
-echo "=== benches (paper figures/tables + extensions) ==="
-for b in "$BUILD"/bench/*; do
-  [ -f "$b" ] && [ -x "$b" ] || continue
-  echo "--- $(basename "$b") ---"
-  "$b"
+echo "=== benches (paper figures/tables + extensions, bench_perf) ==="
+# The benches bench/CMakeLists.txt defines, so a stale binary that an older
+# tree left in the build directory is not run.
+for b in $(sed -n 's/^ssnkit_add_bench(\([a-z0-9_]*\) .*/\1/p' \
+             bench/CMakeLists.txt) bench_perf; do
+  echo "--- $b ---"
+  "$BUILD/bench/$b"
 done
 
 echo "=== examples ==="

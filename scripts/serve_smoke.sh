@@ -4,9 +4,10 @@
 #
 #   leg 1  stdin mode: repeated request answers from the cache, a restarted
 #          daemon warms the cache from its crash-safe spill file
-#   leg 2  socket mode: start the daemon, fire closed-loop load through
-#          bench_serve --connect plus deliberately slow requests, SIGTERM
+#   leg 2  socket mode: start the daemon, fire closed-loop estimate load
+#          from an inline client plus deliberately slow requests, SIGTERM
 #          the daemon mid-load, and assert the clean-drain contract:
+#            - the load client got "ok":true answers
 #            - the daemon exits 0
 #            - every line it printed is valid JSON (checked with jq)
 #            - stats report accepted == responded (no accepted request lost)
@@ -23,18 +24,13 @@
 # the drain is then trivial but still exercised end to end, so the
 # assertions hold either way.
 #
-# Usage: scripts/serve_smoke.sh [path/to/ssnkit [path/to/bench_serve]]
+# Usage: scripts/serve_smoke.sh [path/to/ssnkit]
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 SSNKIT=${1:-build/tools/ssnkit}
-BENCH=${2:-build/bench/bench_serve}
 if [ ! -x "$SSNKIT" ]; then
   echo "serve_smoke: $SSNKIT not built" >&2
-  exit 2
-fi
-if [ ! -x "$BENCH" ]; then
-  echo "serve_smoke: $BENCH not built" >&2
   exit 2
 fi
 
@@ -76,11 +72,39 @@ done
 [ -S "$SOCK" ] || { echo "serve_smoke: socket never appeared" >&2
                     cat "$WORK/serve.log" >&2; exit 1; }
 
-# Closed-loop load over the socket (ignore its exit status: once the drain
-# starts, its in-flight connections are legitimately shed or closed).
-"$BENCH" --connect "$SOCK" --requests 100000 --clients 4 --dup-frac 0.2 \
-    --out "$WORK/bench.json" > "$WORK/bench.log" 2>&1 &
-BENCH_PID=$!
+# Closed-loop load over the socket: 4 connections, each sending one
+# estimate (a distinct tr per request, so none is a cache hit) and reading
+# its answer before sending the next. Once the drain starts, connections are
+# legitimately shed or closed, so a connection just stops there. The client
+# prints how many answers were "ok":true.
+python3 - "$SOCK" > "$WORK/load.log" 2>&1 <<'EOF' &
+import socket, sys, threading
+ok = [0] * 4
+def load(c):
+    s = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    s.connect(sys.argv[1])
+    replies = s.makefile("rb")
+    try:
+        for i in range(25000):
+            s.sendall(b'{"id":"c%d-%d","cmd":"estimate","n":%d,"tr":%.9e}\n'
+                      % (c, i, 2 + i % 8, 1e-10 * (1 + 1e-6 * (4 * i + c))))
+            line = replies.readline()
+            if not line:
+                break
+            ok[c] += b'"ok":true' in line
+    except (BrokenPipeError, ConnectionResetError):
+        pass
+clients = [threading.Thread(target=load, args=(c,)) for c in range(4)]
+for t in clients:
+    t.start()
+for t in clients:
+    t.join()
+print(sum(ok))
+EOF
+LOAD_PID=$!
+# Let the load run before the slow requests below take every pool thread;
+# behind them, the load client's next request waits until the drain.
+sleep 0.5
 
 # Deliberately slow requests so the SIGTERM reliably has in-flight work to
 # drain (and, past the 2 s drain deadline, to cancel with SSN-E066): 16
@@ -113,7 +137,7 @@ set +e
 wait "$SERVE_PID"
 RC=$?
 SERVE_PID=""
-wait "$BENCH_PID" 2> /dev/null
+wait "$LOAD_PID" 2> /dev/null
 wait "$SLOW_PID" 2> /dev/null
 set -e
 
@@ -152,11 +176,15 @@ if [ "$ACCEPTED" != "$RESPONDED" ]; then
   echo "serve_smoke: lost accepted requests ($ACCEPTED accepted, $RESPONDED responded)" >&2
   exit 1
 fi
-if [ "$ACCEPTED" -lt 1 ]; then
-  echo "serve_smoke: load generator never got a request admitted" >&2
-  cat "$WORK/bench.log" >&2
+# The slow client alone makes accepted >= 1, so check the load client's own
+# answers: a load client that never connected fails here.
+LOAD_OK=$(tail -n 1 "$WORK/load.log")
+if ! [ "$LOAD_OK" -ge 1 ] 2> /dev/null; then
+  echo "serve_smoke: load client got no \"ok\":true answer" >&2
+  cat "$WORK/load.log" >&2
   exit 1
 fi
+echo "load client: $LOAD_OK ok answers"
 
 echo "=== leg 3: process isolation, kill -9 a worker mid-load ==="
 # Release builds have no fault hooks, so the only chaos here is real: a raw

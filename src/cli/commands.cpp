@@ -581,6 +581,7 @@ int cmd_ac(const Args& args, std::ostream& os) {
   const auto tech = tech_from(args);
   const auto pkg = package_from(args);
   const int n = args.get_int("n", 8);
+  if (n < 1) throw std::invalid_argument("ac: --n must be >= 1");
 
   circuit::Circuit ckt;
   const circuit::NodeId n_vdd = ckt.node("vdd");

@@ -143,6 +143,17 @@ TEST(Cli, AcImpedanceCsv) {
   EXPECT_GE(std::count(out.begin(), out.end(), '\n'), 5);
 }
 
+TEST(Cli, AcRejectsNonPositiveDriverCount) {
+  // A bank with no drivers has no switching current to see the ground
+  // path through; every other command rejects it too.
+  for (const char* bad : {"0", "-3"}) {
+    std::string out, err;
+    EXPECT_EQ(run({"ac", "--n", bad}, out, err), 1) << bad;
+    EXPECT_NE(err.find("--n must be >= 1"), std::string::npos) << err;
+    EXPECT_EQ(out.find("freq,"), std::string::npos) << out;
+  }
+}
+
 TEST(Cli, SimulateNetlistFile) {
   const char* path = "cli_test_netlist.cir";
   {
